@@ -1,17 +1,19 @@
 #pragma once
 
 /// \file analysis_sweep.hpp
-/// Internal shared core of the batched analysis kernels (event_engine.cpp)
-/// and their streaming accumulators (streaming.cpp): the merged idler view,
-/// the CAR window grid, and the per-signal-event counting functions. Both
-/// paths call the *same* inline functions for every count, so "streaming is
-/// bitwise identical to batch" is a property of the call order alone — the
-/// arithmetic cannot drift apart. Not installed API; include only from
-/// qfc::detect translation units.
+/// Internal: the one analysis sweep behind the batched analysis helpers
+/// (event_engine.cpp) and the streaming accumulators (streaming.cpp) — the
+/// merged idler view, the CAR window grid, the sharded sweep over signal
+/// columns and the per-analysis chunk sweeps. A batch helper is the sweep
+/// with every event resolved at once (frontier = +∞), an accumulator the
+/// same sweep resolved window by window, so "streaming is bitwise identical
+/// to batch" needs no second copy of any count. Not installed API; include
+/// only from qfc::detect translation units.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,9 +54,50 @@ struct MergedView {
 MergedView merge_channels(const EventTable& table,
                           parallel::WorkerPool* pool = nullptr);
 
+/// One signal channel's sorted events.
+struct Column {
+  const double* begin = nullptr;
+  const double* end = nullptr;
+};
+
+inline std::vector<Column> columns_of(const EventTable& table) {
+  std::vector<Column> cols(table.num_channels());
+  for (std::size_t c = 0; c < cols.size(); ++c)
+    cols[c] = {table.channel_begin(c), table.channel_end(c)};
+  return cols;
+}
+
+inline std::vector<Column> columns_of(const std::vector<std::vector<double>>& per_channel) {
+  std::vector<Column> cols(per_channel.size());
+  for (std::size_t c = 0; c < cols.size(); ++c)
+    cols[c] = {per_channel[c].data(), per_channel[c].data() + per_channel[c].size()};
+  return cols;
+}
+
+/// Counts the signal events [begin, end) of channel `channel` into `row`,
+/// that channel's row of the count array.
+using ChunkSweep = std::function<void(std::size_t channel, const double* begin,
+                                      const double* end, std::uint64_t* row)>;
+
+/// The sharded sweep. In every signal column the leading events whose
+/// reach lies behind `frontier` (t + reach < frontier) resolve — all of them
+/// at frontier = +∞, the batch case. They are cut into chunks at fixed
+/// kAnalysisChunkEvents boundaries, which depend on the data only, never on
+/// the worker count; each chunk sweeps into its own partial row and the
+/// partials add into `counts` (row c at c * row_size) in chunk order after
+/// the join. Counts are integers, so the result is bitwise identical at
+/// every pool size; with one worker or one chunk the chunks sweep their rows
+/// directly. Each chunk runs under an engine.analysis.shard span and feeds
+/// the engine.analysis.shard_ns histogram. Returns the number of resolved
+/// events per column (event_engine.cpp).
+std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, double reach,
+                                        double frontier, parallel::WorkerPool* pool,
+                                        std::size_t row_size, std::uint64_t* counts,
+                                        const ChunkSweep& sweep);
+
 /// Index of the first merged-view event with t >= first signal time - reach:
 /// exactly where the monotone `lo` pointer of the full sweep would stand
-/// when it reaches this shard's first event.
+/// when it reaches this chunk's first event.
 inline std::size_t sweep_start(const std::vector<double>& t, double first_ta,
                                double reach) {
   return static_cast<std::size_t>(
@@ -92,57 +135,89 @@ inline CarGrid make_car_grid(double window_s, double side_window_spacing_s,
   return g;
 }
 
-/// One signal event of the CAR sweep against a merged idler sequence:
+/// CAR sweep against a merged idler sequence (it, ich): per signal event,
 /// advance the monotone `lo` pointer, then bin every idler event within
 /// reach into its candidate window. The rounding to the nearest grid offset
 /// only *selects* the window — the membership test repeats measure_car's
 /// center-bounds arithmetic exactly.
-inline void car_count_event(double ta, const std::vector<double>& it,
-                            const std::vector<std::uint32_t>& ich,
-                            std::size_t& lo, const CarGrid& g,
-                            std::uint64_t* row) {
-  while (lo < it.size() && it[lo] < ta - g.reach) ++lo;
-  for (std::size_t j = lo; j < it.size() && it[j] <= ta + g.reach; ++j) {
-    const double tb = it[j];
-    const double dt = ta - tb;
-    const auto m = static_cast<std::int64_t>(std::llround(dt / g.spacing));
-    if (m < -g.mmax || m > g.mmax) continue;
-    const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
-    if (w < 0) continue;
-    const double center = ta - static_cast<double>(m) * g.spacing;
-    if (tb < center - g.half || tb > center + g.half) continue;
-    ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
-  }
+inline ChunkSweep car_sweep(const std::vector<double>& it,
+                            const std::vector<std::uint32_t>& ich, const CarGrid& g) {
+  return [&it, &ich, &g](std::size_t, const double* a0, const double* a1,
+                         std::uint64_t* row) {
+    std::size_t lo = sweep_start(it, *a0, g.reach);
+    for (const double* a = a0; a != a1; ++a) {
+      const double ta = *a;
+      while (lo < it.size() && it[lo] < ta - g.reach) ++lo;
+      for (std::size_t j = lo; j < it.size() && it[j] <= ta + g.reach; ++j) {
+        const double tb = it[j];
+        const double dt = ta - tb;
+        const auto m = static_cast<std::int64_t>(std::llround(dt / g.spacing));
+        if (m < -g.mmax || m > g.mmax) continue;
+        const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
+        if (w < 0) continue;
+        const double center = ta - static_cast<double>(m) * g.spacing;
+        if (tb < center - g.half || tb > center + g.half) continue;
+        ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
+      }
+    }
+  };
 }
 
-/// One signal event of the windowed-coincidence sweep: same center-bounds
-/// arithmetic as count_coincidences.
-inline void window_count_event(double ta, const std::vector<double>& it,
-                               const std::vector<std::uint32_t>& ich,
-                               std::size_t& lo, double half, double offset_s,
-                               double reach, std::uint64_t* row) {
-  const double center = ta - offset_s;
-  while (lo < it.size() && it[lo] < ta - reach) ++lo;
-  for (std::size_t j = lo; j < it.size() && it[j] <= ta + reach; ++j) {
-    const double tb = it[j];
-    if (tb >= center - half && tb <= center + half) ++row[ich[j]];
-  }
+/// Windowed-coincidence sweep against a merged idler sequence: same
+/// center-bounds arithmetic as count_coincidences.
+inline ChunkSweep window_sweep(const std::vector<double>& it,
+                               const std::vector<std::uint32_t>& ich, double half,
+                               double offset_s, double reach) {
+  return [&it, &ich, half, offset_s, reach](std::size_t, const double* a0,
+                                            const double* a1, std::uint64_t* row) {
+    std::size_t lo = sweep_start(it, *a0, reach);
+    for (const double* a = a0; a != a1; ++a) {
+      const double ta = *a;
+      const double center = ta - offset_s;
+      while (lo < it.size() && it[lo] < ta - reach) ++lo;
+      for (std::size_t j = lo; j < it.size() && it[j] <= ta + reach; ++j) {
+        const double tb = it[j];
+        if (tb >= center - half && tb <= center + half) ++row[ich[j]];
+      }
+    }
+  };
 }
 
-/// One signal event of the diagonal Δt-histogram sweep over one idler
-/// channel column [ib, ie).
-inline void corr_count_event(double ta, const double* ie, const double*& lo,
-                             double bin_width_s, double range_s,
-                             std::size_t half_bins, std::size_t num_bins,
-                             std::uint64_t* counts) {
-  while (lo != ie && *lo < ta - range_s) ++lo;
-  for (const double* j = lo; j != ie && *j <= ta + range_s; ++j) {
-    const double dt = ta - *j;
-    const auto bin = static_cast<std::int64_t>(std::llround(dt / bin_width_s)) +
-                     static_cast<std::int64_t>(half_bins);
-    if (bin >= 0 && bin < static_cast<std::int64_t>(num_bins))
-      ++counts[static_cast<std::size_t>(bin)];
+/// Diagonal Δt-histogram sweep: signal channel c against idler column
+/// idler[c] only.
+inline ChunkSweep corr_sweep(const std::vector<Column>& idler, double bin_width_s,
+                             double range_s, std::size_t half_bins, std::size_t num_bins) {
+  return [&idler, bin_width_s, range_s, half_bins, num_bins](
+             std::size_t c, const double* a0, const double* a1, std::uint64_t* counts) {
+    const double* ie = idler[c].end;
+    const double* lo = std::lower_bound(idler[c].begin, ie, *a0 - range_s);
+    for (const double* a = a0; a != a1; ++a) {
+      const double ta = *a;
+      while (lo != ie && *lo < ta - range_s) ++lo;
+      for (const double* j = lo; j != ie && *j <= ta + range_s; ++j) {
+        const double dt = ta - *j;
+        const auto bin = static_cast<std::int64_t>(std::llround(dt / bin_width_s)) +
+                         static_cast<std::int64_t>(half_bins);
+        if (bin >= 0 && bin < static_cast<std::int64_t>(num_bins))
+          ++counts[static_cast<std::size_t>(bin)];
+      }
+    }
+  };
+}
+
+/// Cut the nch x num_bins correlation counts into one histogram per
+/// channel.
+inline std::vector<CoincidenceHistogram> split_histograms(
+    const std::vector<std::uint64_t>& counts, std::size_t num_bins, double bin_width_s,
+    double range_s) {
+  std::vector<CoincidenceHistogram> hists(num_bins == 0 ? 0 : counts.size() / num_bins);
+  for (std::size_t c = 0; c < hists.size(); ++c) {
+    hists[c].bin_width_s = bin_width_s;
+    hists[c].range_s = range_s;
+    hists[c].counts.assign(counts.begin() + static_cast<std::ptrdiff_t>(c * num_bins),
+                           counts.begin() + static_cast<std::ptrdiff_t>((c + 1) * num_bins));
   }
+  return hists;
 }
 
 /// Turn the per-window integer counts into CarResults — the same counting

@@ -48,58 +48,66 @@ std::vector<double> SinglePhotonDetector::detect(const std::vector<double>& arri
     throw std::invalid_argument("detect: extra dark clicks unsorted");
 
   std::vector<double> clicks;
-  clicks.reserve(arrivals.size() / 4 + 16);
+  detail::detect_photons(arrivals.data(), arrivals.data() + arrivals.size(), params_,
+                         duration_s, g_photon, clicks);
+  std::vector<double> darks;
+  if (params_.dark_rate_hz > 0)
+    darks = generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
+  double dead_last = detail::kNoClickYet;
+  return detail::finalize_clicks(clicks.data(), clicks.data() + clicks.size(), darks,
+                                 extra_darks, params_.dead_time_s, dead_last);
+}
 
-  // Photon-induced clicks.
-  for (double t : arrivals) {
-    double click;
-    if (detect_photon_click(t, params_, duration_s, g_photon, click))
-      clicks.push_back(click);
+namespace detail {
+
+void detect_photons(const double* begin, const double* end, const DetectorParams& params,
+                    double duration_s, rng::Xoshiro256& g, std::vector<double>& clicks) {
+  for (const double* t = begin; t != end; ++t) {
+    if (*t < 0 || *t >= duration_s) continue;
+    if (!rng::sample_bernoulli(g, params.efficiency)) continue;
+    const double jittered = *t + rng::sample_normal(g, 0.0, params.jitter_sigma_s);
+    if (jittered >= 0 && jittered < duration_s) clicks.push_back(jittered);
   }
-
   // Photon clicks are nearly sorted already (jitter is tiny vs typical
   // arrival spacing), so the is_sorted probe usually skips the sort.
   if (!std::is_sorted(clicks.begin(), clicks.end()))
     std::sort(clicks.begin(), clicks.end());
+}
 
-  // Dark / background clicks: homogeneous Poisson process, generated in
-  // time order, so a linear merge replaces concatenate-and-resort.
-  if (params_.dark_rate_hz > 0) {
-    const auto darks = generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
-    if (obs::metrics_enabled())
-      obs::counter("detect.darks_injected").add(darks.size());
-    std::vector<double> merged(clicks.size() + darks.size());
-    std::merge(clicks.begin(), clicks.end(), darks.begin(), darks.end(),
-               merged.begin());
+std::vector<double> finalize_clicks(const double* begin, const double* end,
+                                    const std::vector<double>& darks,
+                                    const std::vector<double>& schedule_darks,
+                                    double dead_time_s, double& dead_last) {
+  if (obs::metrics_enabled() && !(darks.empty() && schedule_darks.empty()))
+    obs::counter("detect.darks_injected").add(darks.size() + schedule_darks.size());
+
+  // All three sources are sorted, so linear merges replace
+  // concatenate-and-resort.
+  std::vector<double> clicks(static_cast<std::size_t>(end - begin) + darks.size());
+  std::merge(begin, end, darks.begin(), darks.end(), clicks.begin());
+  if (!schedule_darks.empty()) {
+    std::vector<double> merged(clicks.size() + schedule_darks.size());
+    std::merge(clicks.begin(), clicks.end(), schedule_darks.begin(),
+               schedule_darks.end(), merged.begin());
     clicks.swap(merged);
   }
 
-  // Caller-supplied darks (piecewise-rate schedules): direct click times,
-  // merged like the internal homogeneous pass above.
-  if (!extra_darks.empty()) {
-    if (obs::metrics_enabled())
-      obs::counter("detect.darks_injected").add(extra_darks.size());
-    std::vector<double> merged(clicks.size() + extra_darks.size());
-    std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
-               merged.begin());
-    clicks.swap(merged);
-  }
-
-  // Dead time: drop clicks closer than dead_time_s to the previous kept one.
-  if (params_.dead_time_s > 0 && !clicks.empty()) {
-    std::vector<double> kept;
-    kept.reserve(clicks.size());
-    double last = -1e18;
-    for (double t : clicks) {
-      if (t - last >= params_.dead_time_s) {
-        kept.push_back(t);
-        last = t;
+  // Dead time: drop clicks closer than dead_time_s to the previous kept
+  // one, compacting in place.
+  if (dead_time_s > 0) {
+    std::size_t kept = 0;
+    for (const double t : clicks) {
+      if (t - dead_last >= dead_time_s) {
+        clicks[kept++] = t;
+        dead_last = t;
       }
     }
-    clicks.swap(kept);
+    clicks.resize(kept);
   }
   return clicks;
 }
+
+}  // namespace detail
 
 double SinglePhotonDetector::expected_singles_rate_hz(double photon_rate_hz) const {
   if (photon_rate_hz < 0)

@@ -49,12 +49,11 @@ class SinglePhotonDetector {
                              double duration_s, rng::Xoshiro256& g) const;
 
   /// Core overload with split randomness: the photon pass (efficiency +
-  /// jitter draws, via detect_photon_click) consumes `g_photon` and the
-  /// internal dark-count pass consumes `g_dark`. The single-generator
-  /// overloads alias one generator into both roles, which reproduces their
-  /// historical draw sequence exactly (photon draws first, then darks); the
-  /// engine and the streaming path pass two independent forked streams so
-  /// the two passes can be windowed independently.
+  /// jitter draws) consumes `g_photon` and the internal dark-count pass
+  /// consumes `g_dark`. The single-generator overloads alias one generator
+  /// into both roles, which reproduces their historical draw sequence
+  /// exactly (photon draws first, then darks); the event engine gives each
+  /// pass its own forked stream so the two can be windowed independently.
   std::vector<double> detect(const std::vector<double>& photon_arrivals_s,
                              const std::vector<double>& extra_dark_clicks_s,
                              double duration_s, rng::Xoshiro256& g_photon,
@@ -68,21 +67,33 @@ class SinglePhotonDetector {
   DetectorParams params_;
 };
 
-/// One photon arrival through the efficiency + jitter front end: returns
-/// true (and writes the click time) iff the photon is detected and its
-/// jittered timestamp lands inside [0, duration). Exactly the per-arrival
-/// body of SinglePhotonDetector::detect — shared with the streaming engine
-/// so batch and windowed runs consume identical draw sequences. Note the
-/// jitter draw happens only when the efficiency Bernoulli succeeds.
-inline bool detect_photon_click(double t_s, const DetectorParams& params,
-                                double duration_s, rng::Xoshiro256& g,
-                                double& click_out_s) {
-  if (t_s < 0 || t_s >= duration_s) return false;
-  if (!rng::sample_bernoulli(g, params.efficiency)) return false;
-  const double jittered = t_s + rng::sample_normal(g, 0.0, params.jitter_sigma_s);
-  if (jittered < 0 || jittered >= duration_s) return false;
-  click_out_s = jittered;
-  return true;
-}
+namespace detail {
+
+/// Dead-time carry before the first click: far enough back that the first
+/// click of a run is always kept.
+constexpr double kNoClickYet = -1e18;
+
+/// The detector stages shared by SinglePhotonDetector::detect (one call for
+/// the whole run) and the event engine (one call per window and arm, with
+/// the state carried across windows): detect() is the one-window case.
+///
+/// detect_photons passes the photons [begin, end), in that order, through
+/// the efficiency + jitter front end and appends every click that lands
+/// inside [0, duration_s) to `clicks`, then sorts `clicks` again if jitter
+/// swapped neighbors (usually a no-op probe). The jitter draw happens only
+/// when the efficiency Bernoulli succeeds.
+void detect_photons(const double* begin, const double* end, const DetectorParams& params,
+                    double duration_s, rng::Xoshiro256& g, std::vector<double>& clicks);
+
+/// finalize_clicks merges the sorted photon clicks [begin, end) with the
+/// sorted internal darks and schedule darks (which click directly: no
+/// efficiency, no jitter) and drops every click closer than dead_time_s to
+/// the previously kept one, carrying that one in `dead_last`.
+std::vector<double> finalize_clicks(const double* begin, const double* end,
+                                    const std::vector<double>& darks,
+                                    const std::vector<double>& schedule_darks,
+                                    double dead_time_s, double& dead_last);
+
+}  // namespace detail
 
 }  // namespace qfc::detect

@@ -1,19 +1,27 @@
 #pragma once
 
 /// \file engine_plan.hpp
-/// Internal: per-channel generation plan shared by the batch engine
-/// (event_engine.cpp) and the windowed streaming engine (streaming.cpp).
-/// Builds the validated kernel-parameter structs for a ChannelPairSpec so
-/// both paths reject bad specs identically and drive the same emission
-/// kernels with the same parameters. Not installed API; include only from
-/// qfc::detect translation units.
+/// Internal: the event engine's one generation path. ChannelPlan holds the
+/// validated sampler parameters of a ChannelPairSpec; ClickGenerator runs
+/// every channel's stages (emission, backgrounds, detection, darks, dead
+/// time) window by window on the per-stage sub-streams of channel_rng.hpp.
+/// EventEngine::run is a single window to the end of the run and
+/// EventStreamer::next one window each, so batch and streaming output are
+/// the same code at different window lengths. Not installed API; include
+/// only from qfc::detect translation units.
 
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/event_stream.hpp"
 
-#include <string>
+namespace qfc::parallel {
+class WorkerPool;
+}
 
 namespace qfc::detect::detail {
 
@@ -69,9 +77,8 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
   return plan;
 }
 
-/// Validation wrapper both engines use when planning a whole spec list: the
-/// spec-level checks shared by batch and streaming (background rates) plus
-/// make_plan, with the channel index prefixed onto any error so one bad
+/// make_plan plus the remaining spec-level checks (background rates,
+/// detectors), with the channel index prefixed onto any error so one bad
 /// entry in a hundreds-of-channels plan (e.g. a QkdNetwork user list) names
 /// the offender instead of forcing a bisection.
 inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duration_s,
@@ -79,10 +86,67 @@ inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duratio
   try {
     if (spec.background_rate_signal_hz < 0 || spec.background_rate_idler_hz < 0)
       throw std::invalid_argument("ChannelPairSpec: negative background rate");
-    return make_plan(spec, duration_s);
+    ChannelPlan plan = make_plan(spec, duration_s);
+    spec.detector_signal.validate();
+    spec.detector_idler.validate();
+    return plan;
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("channel " + std::to_string(channel) + ": " + e.what());
   }
 }
+
+inline void validate_engine_config(const EngineConfig& cfg) {
+  if (cfg.duration_s <= 0) throw std::invalid_argument("EngineConfig: duration <= 0");
+  if (cfg.num_threads < 0)
+    throw std::invalid_argument("EngineConfig: negative thread count");
+  if (cfg.analysis_threads < 0)
+    throw std::invalid_argument("EngineConfig: negative analysis thread count");
+}
+
+/// Every channel's click pipeline, resumable window by window.
+///
+/// Determinism: each channel forks its generator from the master seed in
+/// channel order and its eleven stage streams from that (channel_rng.hpp),
+/// all at construction; every stage owns a detail::Sampler on its own
+/// stream. A window only pauses those samplers, so any sequence of windows
+/// consumes the same per-stream draws as one window over the whole run, and
+/// worker threads claim whole channels, so no result depends on the thread
+/// count either.
+///
+/// Window boundaries: a window finalizes the clicks below its end C. The
+/// delay and jitter distributions have unbounded support, so arrivals are
+/// detected up to theta = C + jitter slack and pairs emitted up to
+/// theta + delay slack; what lies past a watermark is carried into the
+/// next window. An arrival or click that still lands behind an earlier
+/// window's watermark counts as a boundary violation and is folded into
+/// the current window.
+class ClickGenerator {
+ public:
+  /// Validates `cfg` and every spec. `slack_override_s` > 0 replaces both
+  /// automatic look-ahead slacks (see StreamConfig::slack_override_s).
+  ClickGenerator(const EngineConfig& cfg, const std::vector<ChannelPairSpec>& specs,
+                 double slack_override_s = 0);
+  ~ClickGenerator();
+
+  /// The clicks of every channel below `until_s` not emitted by an earlier
+  /// call, one `channel_span` span per channel. `last` drains the rest of
+  /// the run and frees every carried buffer.
+  EngineResult advance(double until_s, bool last, const char* channel_span);
+
+  std::uint64_t boundary_violations() const;
+  /// Arrivals and clicks carried past the last window.
+  std::size_t backlog_events() const;
+
+ private:
+  struct Arm;
+  struct Channel;
+  void process_channel(Channel& ch, double until_s, bool last,
+                       std::vector<double>& signal, std::vector<double>& idler) const;
+
+  double duration_s_ = 0;
+  std::vector<Channel> chans_;
+  std::unique_ptr<parallel::WorkerPool> pool_;
+  bool started_ = false;
+};
 
 }  // namespace qfc::detect::detail

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -16,9 +17,16 @@
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
+#include "qfc/photonics/constants.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
 namespace qfc::detect {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 // ---------------------------------------------------------------- EventTable
 
@@ -62,20 +70,11 @@ EventTable EventTable::from_columns(std::vector<std::vector<double>> per_channel
   return t;
 }
 
-// --------------------------------------------------------------- EventEngine
+// ---------------------------------------------------------------- generation
 
-EventEngine::EventEngine(EngineConfig cfg) : cfg_(cfg) {
-  if (cfg_.duration_s <= 0)
-    throw std::invalid_argument("EngineConfig: duration <= 0");
-  if (cfg_.num_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative thread count");
-  if (cfg_.analysis_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative analysis thread count");
-}
+namespace detail {
 
 namespace {
-
-using detail::ChannelPlan;
 
 const char* emission_name(EmissionMode mode) {
   switch (mode) {
@@ -86,123 +85,240 @@ const char* emission_name(EmissionMode mode) {
   return "engine.emission.unknown";
 }
 
+/// Merge the sorted `extra` into the sorted `dst` in one linear pass, back
+/// to front in place, so the carried buffer keeps its allocation.
+void merge_into(std::vector<double>& dst, const std::vector<double>& extra) {
+  std::size_t i = dst.size(), j = extra.size();
+  dst.resize(i + j);
+  for (std::size_t k = dst.size(); j > 0;)
+    dst[--k] = (i > 0 && dst[i - 1] > extra[j - 1]) ? dst[--i] : extra[--j];
+}
+
+/// Number of leading elements of the sorted [first, last) below `t`.
+std::uint64_t count_below(std::vector<double>::const_iterator first,
+                          std::vector<double>::const_iterator last, double t) {
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, t) - first);
+}
+
 }  // namespace
 
-EngineResult EventEngine::run(const std::vector<ChannelPairSpec>& channels) const {
-  const std::size_t n = channels.size();
-  QFC_OBS_SPAN("engine.run", {{"channels", n}});
+/// One detector arm: its stages (each a sampler on its own stream) and the
+/// photon clicks carried past the last click watermark.
+struct ClickGenerator::Arm {
+  DetectorParams det;
+  double bg_rate_hz = 0;
+  double RateSegment::*pwbg_rate = nullptr;    ///< this arm's schedule background
+  double RateSegment::*pwdark_rate = nullptr;  ///< this arm's schedule darks
+  rng::Xoshiro256 g_bg, g_pwbg, g_det, g_dark, g_pwdark;
+  Sampler bg, pwbg, dark, pwdark;
+  std::vector<double> clicks;
+  double dead_last = kNoClickYet;
 
-  // Validate and pre-fork everything serially, in channel order, so the
-  // parallel section below is schedule-independent: channel c's results
-  // depend only on gens[c], never on which thread ran it or when.
-  std::vector<ChannelPlan> plans;
-  std::vector<SinglePhotonDetector> det_s, det_i;
-  plans.reserve(n);
-  det_s.reserve(n);
-  det_i.reserve(n);
+  /// Detect this arm's sorted `arrivals` below `theta` (carried ones plus
+  /// fresh pairs; backgrounds are merged in here), then finalize its clicks
+  /// below `until_s`. Concatenated over windows, the photon pass visits the
+  /// arrivals in the order of a single window, so the detection stream's
+  /// draws line up exactly.
+  std::vector<double> process(std::vector<double>& arrivals, const ChannelPlan& plan,
+                              double duration_s, double theta, double until_s,
+                              double prev_theta, double prev_until, bool last,
+                              std::uint64_t& violations) {
+    if (!std::is_sorted(arrivals.begin(), arrivals.end()))
+      std::sort(arrivals.begin(), arrivals.end());
+    {
+      // Backgrounds are complete below theta by construction of their
+      // advance target, and sorted, so they merge in linearly.
+      std::vector<double> fresh;
+      if (bg_rate_hz > 0) {
+        bg.advance(bg_rate_hz, duration_s, theta, g_bg, fresh);
+        merge_into(arrivals, fresh);
+      }
+      if (plan.mode == EmissionMode::PiecewiseRates) {
+        fresh.clear();
+        pwbg.advance(plan.piecewise.segments, pwbg_rate, duration_s, theta, g_pwbg, fresh);
+        merge_into(arrivals, fresh);
+      }
+    }
+    const auto split = std::lower_bound(arrivals.begin(), arrivals.end(), theta);
+    violations += count_below(arrivals.begin(), split, prev_theta);
+    detect_photons(arrivals.data(), arrivals.data() + (split - arrivals.begin()), det,
+                   duration_s, g_det, clicks);
+    if (last)
+      std::vector<double>().swap(arrivals);
+    else
+      arrivals.erase(arrivals.begin(), split);
+
+    // Dark clicks carry no jitter, so the click watermark is exact for
+    // them: generate straight up to it.
+    std::vector<double> darks, schedule_darks;
+    if (det.dark_rate_hz > 0) dark.advance(det.dark_rate_hz, duration_s, until_s, g_dark, darks);
+    if (plan.mode == EmissionMode::PiecewiseRates)
+      pwdark.advance(plan.piecewise.segments, pwdark_rate, duration_s, until_s, g_pwdark,
+                     schedule_darks);
+    const auto done = std::lower_bound(clicks.begin(), clicks.end(), until_s);
+    violations += count_below(clicks.begin(), done, prev_until);
+    std::vector<double> out =
+        finalize_clicks(clicks.data(), clicks.data() + (done - clicks.begin()), darks,
+                        schedule_darks, det.dead_time_s, dead_last);
+    if (last)
+      std::vector<double>().swap(clicks);
+    else
+      clicks.erase(clicks.begin(), done);
+    return out;
+  }
+};
+
+struct ClickGenerator::Channel {
+  ChannelPlan plan;
+  double spill_pair = 0;  ///< emission look-ahead past the arrival watermark
+  double spill_jit = 0;   ///< arrival watermark past the click watermark
+  rng::Xoshiro256 g_pair;
+  Sampler pairs;
+  PairStreams arrivals;    ///< carried past the last arrival watermark
+  Arm a, b;
+  double prev_theta = 0;   ///< last window's arrival watermark
+  double prev_until = 0;   ///< last window's click watermark
+  std::uint64_t violations = 0;
+};
+
+ClickGenerator::ClickGenerator(const EngineConfig& cfg,
+                               const std::vector<ChannelPairSpec>& specs,
+                               double slack_override_s)
+    : duration_s_(cfg.duration_s) {
+  validate_engine_config(cfg);
+  const std::size_t n = specs.size();
+  chans_.resize(n);
+  // Plan and fork everything serially, in channel order, so the parallel
+  // windows are schedule-independent: channel c's output depends only on
+  // its own streams, never on which thread ran it or when.
+  rng::Xoshiro256 master(cfg.seed);
   for (std::size_t c = 0; c < n; ++c) {
-    const ChannelPairSpec& spec = channels[c];
-    plans.push_back(detail::make_checked_plan(spec, cfg_.duration_s, c));
-    det_s.emplace_back(spec.detector_signal);
-    det_i.emplace_back(spec.detector_idler);
+    const ChannelPairSpec& spec = specs[c];
+    Channel& ch = chans_[c];
+    ch.plan = make_checked_plan(spec, cfg.duration_s, c);
+
+    // P(|Laplace| / 2 > 32 scales) = e^-64; pulsed adds the deterministic
+    // late-bin shift and 16 sigmas of pulse-envelope jitter.
+    ch.spill_pair = 32.0 / (2.0 * photonics::pi * spec.linewidth_hz);
+    if (spec.emission == EmissionMode::Pulsed)
+      ch.spill_pair += spec.pulsed.bin_separation_s + 16.0 * spec.pulsed.pulse_sigma_s;
+    ch.spill_jit = 16.0 * std::max(spec.detector_signal.jitter_sigma_s,
+                                   spec.detector_idler.jitter_sigma_s);
+    if (slack_override_s > 0) ch.spill_pair = ch.spill_jit = slack_override_s;
+
+    rng::Xoshiro256 g = master.fork(static_cast<std::uint64_t>(c + 1));
+    const ChannelRngs r = fork_channel_rngs(g);
+    ch.g_pair = r.pair;
+    ch.a.det = spec.detector_signal;
+    ch.a.bg_rate_hz = spec.background_rate_signal_hz;
+    ch.a.pwbg_rate = &RateSegment::background_rate_signal_hz;
+    ch.a.pwdark_rate = &RateSegment::dark_rate_signal_hz;
+    ch.a.g_bg = r.bg_a;
+    ch.a.g_pwbg = r.pwbg_a;
+    ch.a.g_det = r.det_a;
+    ch.a.g_dark = r.dark_a;
+    ch.a.g_pwdark = r.pwdark_a;
+    ch.b.det = spec.detector_idler;
+    ch.b.bg_rate_hz = spec.background_rate_idler_hz;
+    ch.b.pwbg_rate = &RateSegment::background_rate_idler_hz;
+    ch.b.pwdark_rate = &RateSegment::dark_rate_idler_hz;
+    ch.b.g_bg = r.bg_b;
+    ch.b.g_pwbg = r.pwbg_b;
+    ch.b.g_det = r.det_b;
+    ch.b.g_dark = r.dark_b;
+    ch.b.g_pwdark = r.pwdark_b;
   }
 
-  rng::Xoshiro256 master(cfg_.seed);
-  std::vector<rng::Xoshiro256> gens;
-  gens.reserve(n);
-  for (std::size_t c = 0; c < n; ++c)
-    gens.push_back(master.fork(static_cast<std::uint64_t>(c + 1)));
-
-  std::vector<std::vector<double>> sig_cols(n), idl_cols(n);
-
-  const auto process_channel = [&](std::size_t c) {
-    QFC_OBS_SPAN("engine.generate", {{"channel", c}});
-    const ChannelPairSpec& spec = channels[c];
-    const ChannelPlan& plan = plans[c];
-    // Per-stage sub-streams, forked unconditionally in fixed order (see
-    // channel_rng.hpp): every stochastic stage owns its own generator, so
-    // the streaming engine can pause any stage at a window boundary without
-    // shifting another stage's draws — batch and windowed runs consume
-    // identical per-stream sequences.
-    detail::ChannelRngs r = detail::fork_channel_rngs(gens[c]);
-
-    PairStreams photons;
-    switch (plan.mode) {
-      case EmissionMode::Cw:
-        photons = generate_pair_arrivals(plan.cw, r.pair);
-        break;
-      case EmissionMode::Pulsed:
-        photons = generate_pulsed_pair_arrivals(plan.pulsed, r.pair);
-        break;
-      case EmissionMode::PiecewiseRates:
-        photons = generate_piecewise_pair_arrivals(plan.piecewise, r.pair);
-        break;
-    }
-    if (obs::metrics_enabled()) {
-      obs::counter(emission_name(plan.mode)).increment();
-      obs::counter("engine.events_generated").add(photons.a.size() + photons.b.size());
-    }
-
-    // Both the pair arrivals and the background stream are sorted, so a
-    // linear merge suffices (same pattern as the detector's dark pass).
-    const auto merge_into = [](std::vector<double>& arm, const std::vector<double>& bg) {
-      if (bg.empty()) return;
-      std::vector<double> merged(arm.size() + bg.size());
-      std::merge(arm.begin(), arm.end(), bg.begin(), bg.end(), merged.begin());
-      arm.swap(merged);
-    };
-    const auto inject = [&](std::vector<double>& arm, double rate_hz,
-                            rng::Xoshiro256& g) {
-      if (rate_hz <= 0) return;
-      merge_into(arm, generate_poisson_arrivals(rate_hz, cfg_.duration_s, g));
-    };
-    inject(photons.a, spec.background_rate_signal_hz, r.bg_a);
-    inject(photons.b, spec.background_rate_idler_hz, r.bg_b);
-    if (plan.mode == EmissionMode::PiecewiseRates) {
-      merge_into(photons.a, generate_piecewise_poisson_arrivals(
-                                plan.piecewise.segments,
-                                &RateSegment::background_rate_signal_hz,
-                                cfg_.duration_s, r.pwbg_a));
-      merge_into(photons.b, generate_piecewise_poisson_arrivals(
-                                plan.piecewise.segments,
-                                &RateSegment::background_rate_idler_hz,
-                                cfg_.duration_s, r.pwbg_b));
-      const auto darks_s = generate_piecewise_poisson_arrivals(
-          plan.piecewise.segments, &RateSegment::dark_rate_signal_hz, cfg_.duration_s,
-          r.pwdark_a);
-      sig_cols[c] =
-          det_s[c].detect(photons.a, darks_s, cfg_.duration_s, r.det_a, r.dark_a);
-      const auto darks_i = generate_piecewise_poisson_arrivals(
-          plan.piecewise.segments, &RateSegment::dark_rate_idler_hz, cfg_.duration_s,
-          r.pwdark_b);
-      idl_cols[c] =
-          det_i[c].detect(photons.b, darks_i, cfg_.duration_s, r.det_b, r.dark_b);
-    } else {
-      static const std::vector<double> no_extra_darks;
-      sig_cols[c] = det_s[c].detect(photons.a, no_extra_darks, cfg_.duration_s,
-                                    r.det_a, r.dark_a);
-      idl_cols[c] = det_i[c].detect(photons.b, no_extra_darks, cfg_.duration_s,
-                                    r.det_b, r.dark_b);
-    }
-    if (obs::metrics_enabled())
-      obs::counter("engine.clicks_kept").add(sig_cols[c].size() + idl_cols[c].size());
-  };
-
-  unsigned num_threads = cfg_.num_threads > 0
-                             ? static_cast<unsigned>(cfg_.num_threads)
+  unsigned num_threads = cfg.num_threads > 0
+                             ? static_cast<unsigned>(cfg.num_threads)
                              : std::max(1u, std::thread::hardware_concurrency());
   num_threads = static_cast<unsigned>(
       std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
+  pool_ = std::make_unique<parallel::WorkerPool>(num_threads);
+}
 
-  // Per-run pool sized to the config: workers claim whole channels, so the
-  // output is schedule-independent (see file comment in the header).
-  parallel::WorkerPool pool(num_threads);
-  pool.run(n, process_channel);
+ClickGenerator::~ClickGenerator() = default;
 
+void ClickGenerator::process_channel(Channel& ch, double until_s, bool last,
+                                     std::vector<double>& signal,
+                                     std::vector<double>& idler) const {
+  // Watermark ladder for this window: clicks finalize below until_s,
+  // arrivals are detected below theta = until_s + jitter slack, emission
+  // runs to theta + pair-delay slack. The last window drains everything.
+  const double theta = last ? kInf : until_s + ch.spill_jit;
+  const double emit_to = last ? duration_s_ : std::min(theta + ch.spill_pair, duration_s_);
+
+  // Pairs go straight into the carried arrival buffers.
+  const std::size_t carried = ch.arrivals.a.size() + ch.arrivals.b.size();
+  switch (ch.plan.mode) {
+    case EmissionMode::Cw:
+      ch.pairs.advance(ch.plan.cw, emit_to, ch.g_pair, ch.arrivals);
+      break;
+    case EmissionMode::Pulsed:
+      ch.pairs.advance(ch.plan.pulsed, emit_to, ch.g_pair, ch.arrivals);
+      break;
+    case EmissionMode::PiecewiseRates:
+      ch.pairs.advance(ch.plan.piecewise, emit_to, ch.g_pair, ch.arrivals);
+      break;
+  }
+  if (obs::metrics_enabled()) {
+    if (!started_) obs::counter(emission_name(ch.plan.mode)).increment();
+    obs::counter("engine.events_generated")
+        .add(ch.arrivals.a.size() + ch.arrivals.b.size() - carried);
+  }
+
+  signal = ch.a.process(ch.arrivals.a, ch.plan, duration_s_, theta, until_s,
+                        ch.prev_theta, ch.prev_until, last, ch.violations);
+  idler = ch.b.process(ch.arrivals.b, ch.plan, duration_s_, theta, until_s,
+                       ch.prev_theta, ch.prev_until, last, ch.violations);
+  if (obs::metrics_enabled())
+    obs::counter("engine.clicks_kept").add(signal.size() + idler.size());
+  ch.prev_theta = theta;
+  ch.prev_until = until_s;
+}
+
+EngineResult ClickGenerator::advance(double until_s, bool last,
+                                     const char* channel_span) {
+  const std::size_t n = chans_.size();
+  std::vector<std::vector<double>> sig_cols(n), idl_cols(n);
+  pool_->run(n, [&](std::size_t c) {
+    QFC_OBS_SPAN(channel_span, {{"channel", c}});
+    process_channel(chans_[c], until_s, last, sig_cols[c], idl_cols[c]);
+  });
+  started_ = true;
   EngineResult result;
   result.signal = EventTable::from_columns(std::move(sig_cols));
   result.idler = EventTable::from_columns(std::move(idl_cols));
   return result;
+}
+
+std::uint64_t ClickGenerator::boundary_violations() const {
+  std::uint64_t v = 0;
+  for (const Channel& ch : chans_) v += ch.violations;
+  return v;
+}
+
+std::size_t ClickGenerator::backlog_events() const {
+  std::size_t backlog = 0;
+  for (const Channel& ch : chans_)
+    backlog += ch.arrivals.a.size() + ch.arrivals.b.size() + ch.a.clicks.size() +
+               ch.b.clicks.size();
+  return backlog;
+}
+
+}  // namespace detail
+
+// --------------------------------------------------------------- EventEngine
+
+EventEngine::EventEngine(EngineConfig cfg) : cfg_(cfg) {
+  detail::validate_engine_config(cfg_);
+}
+
+EngineResult EventEngine::run(const std::vector<ChannelPairSpec>& channels) const {
+  QFC_OBS_SPAN("engine.run", {{"channels", channels.size()}});
+  // One window over the whole run.
+  detail::ClickGenerator gen(cfg_, channels);
+  return gen.advance(cfg_.duration_s, /*last=*/true, "engine.generate");
 }
 
 // ----------------------------------------------------------- batched analysis
@@ -349,81 +465,63 @@ std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads) {
   return analysis_pool_instance;
 }
 
+std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, double reach,
+                                        double frontier, parallel::WorkerPool* pool,
+                                        std::size_t row_size, std::uint64_t* counts,
+                                        const ChunkSweep& sweep) {
+  struct Chunk {
+    std::size_t channel;
+    const double* begin;
+    const double* end;
+  };
+  std::vector<Chunk> chunks;
+  std::vector<std::size_t> resolved(signal.size(), 0);
+  for (std::size_t c = 0; c < signal.size(); ++c) {
+    const Column& col = signal[c];
+    const double* split = std::partition_point(
+        col.begin, col.end, [&](double ta) { return ta + reach < frontier; });
+    resolved[c] = static_cast<std::size_t>(split - col.begin);
+    for (std::size_t b = 0; b < resolved[c]; b += kAnalysisChunkEvents)
+      chunks.push_back(
+          {c, col.begin + b, col.begin + std::min(resolved[c], b + kAnalysisChunkEvents)});
+  }
+  // Span + histogram around one chunk's sweep; pure wrapper, so the count
+  // arithmetic — and with it the determinism contract — is untouched.
+  const auto observed_sweep = [&](const Chunk& k, std::uint64_t* row) {
+    QFC_OBS_SPAN("engine.analysis.shard",
+                 {{"channel", k.channel}, {"events", k.end - k.begin}});
+    if (obs::metrics_enabled()) {
+      const std::uint64_t t0 = obs::detail::now_ns();
+      sweep(k.channel, k.begin, k.end, row);
+      obs::histogram("engine.analysis.shard_ns").observe(obs::detail::now_ns() - t0);
+      obs::counter("engine.analysis.shards").increment();
+    } else {
+      sweep(k.channel, k.begin, k.end, row);
+    }
+  };
+  if (pool == nullptr || pool->size() <= 1 || chunks.size() <= 1) {
+    for (const Chunk& k : chunks) observed_sweep(k, counts + k.channel * row_size);
+    return resolved;
+  }
+  std::vector<std::vector<std::uint64_t>> partials(chunks.size());
+  pool->run(chunks.size(), [&](std::size_t i) {
+    partials[i].assign(row_size, 0);
+    observed_sweep(chunks[i], partials[i].data());
+  });
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    std::uint64_t* dst = counts + chunks[i].channel * row_size;
+    for (std::size_t k = 0; k < row_size; ++k) dst[k] += partials[i][k];
+  }
+  return resolved;
+}
+
 }  // namespace analysis_detail
 
 namespace {
 
 using analysis_detail::analysis_pool_for;
-
-// ------------------------------------------------------- sharded sweeps
-//
-// Unit of parallel analysis work: one contiguous slice of one signal
-// channel's column. Boundaries depend only on the table contents (fixed
-// kAnalysisChunkEvents), never on the worker count; each shard accumulates
-// into its own partial count buffer and the buffers merge additively in
-// shard order after the join. Counts are integers, so the merged result is
-// bitwise identical to the single-threaded sweep at any pool size.
-
-using analysis_detail::kAnalysisChunkEvents;
-using analysis_detail::sweep_start;
-
-struct SignalShard {
-  std::size_t channel = 0;
-  std::size_t begin = 0;  ///< event-index range within the channel column
-  std::size_t end = 0;
-};
-
-std::vector<SignalShard> make_signal_shards(const EventTable& signal) {
-  std::vector<SignalShard> shards;
-  for (std::size_t c = 0; c < signal.num_channels(); ++c) {
-    const std::size_t len = signal.channel_size(c);
-    for (std::size_t b = 0; b < len; b += kAnalysisChunkEvents)
-      shards.push_back({c, b, std::min(b + kAnalysisChunkEvents, len)});
-  }
-  return shards;
-}
-
-/// Run the sharded sweep: `sweep(shard, row)` must accumulate shard's counts
-/// into `row`, a zeroed buffer of `row_size` cells addressed relative to the
-/// shard's channel; `row_of(channel)` is that channel's slice of the global
-/// count array. With one worker the shards sweep the global rows directly
-/// (no partials) — the order of integer additions per cell is unchanged, so
-/// both paths produce identical counts. The caller resolves the pool once
-/// (analysis_pool_for) so it can share it with merge_channels.
-template <class SweepFn, class RowOfFn>
-void run_sharded(const EventTable& signal,
-                 const std::shared_ptr<parallel::WorkerPool>& wp,
-                 std::size_t row_size, const SweepFn& sweep, const RowOfFn& row_of) {
-  const auto shards = make_signal_shards(signal);
-  if (shards.empty()) return;
-  // Span + histogram around one shard's sweep; pure wrapper, so the count
-  // arithmetic — and with it the determinism contract — is untouched.
-  const auto observed_sweep = [&](const SignalShard& s, std::uint64_t* row) {
-    QFC_OBS_SPAN("engine.analysis.shard",
-                 {{"channel", s.channel}, {"events", s.end - s.begin}});
-    if (obs::metrics_enabled()) {
-      const std::uint64_t t0 = obs::detail::now_ns();
-      sweep(s, row);
-      obs::histogram("engine.analysis.shard_ns").observe(obs::detail::now_ns() - t0);
-      obs::counter("engine.analysis.shards").increment();
-    } else {
-      sweep(s, row);
-    }
-  };
-  if (wp->size() <= 1 || shards.size() <= 1) {
-    for (const SignalShard& s : shards) observed_sweep(s, row_of(s.channel));
-    return;
-  }
-  std::vector<std::vector<std::uint64_t>> partials(shards.size());
-  wp->run(shards.size(), [&](std::size_t i) {
-    partials[i].assign(row_size, 0);
-    observed_sweep(shards[i], partials[i].data());
-  });
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    std::uint64_t* dst = row_of(shards[i].channel);
-    for (std::size_t k = 0; k < row_size; ++k) dst[k] += partials[i][k];
-  }
-}
+using analysis_detail::columns_of;
+using analysis_detail::sweep_resolved;
 
 }  // namespace
 
@@ -455,30 +553,17 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
 
   const auto half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
   const std::size_t num_bins = 2 * half_bins + 1;
-  std::vector<CoincidenceHistogram> hists(signal.num_channels());
-  for (auto& h : hists) {
-    h.bin_width_s = bin_width_s;
-    h.range_s = range_s;
-    h.counts.assign(num_bins, 0);
-  }
 
   // Diagonal pairs only: two-pointer passes directly over the contiguous
   // columns, sharded per signal-column chunk.
+  std::vector<std::uint64_t> counts(signal.num_channels() * num_bins, 0);
   const auto wp = analysis_pool_for(num_threads);
-  run_sharded(
-      signal, wp, num_bins,
-      [&](const SignalShard& s, std::uint64_t* counts) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        const double* ie = idler.channel_end(s.channel);
-        const double* lo =
-            std::lower_bound(idler.channel_begin(s.channel), ie, *a0 - range_s);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::corr_count_event(*a, ie, lo, bin_width_s, range_s,
-                                            half_bins, num_bins, counts);
-      },
-      [&](std::size_t c) { return hists[c].counts.data(); });
-  return hists;
+  const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
+  sweep_resolved(columns_of(signal), range_s, kInf, wp.get(), num_bins,
+                 counts.data(),
+                 analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins,
+                                             num_bins));
+  return analysis_detail::split_histograms(counts, num_bins, bin_width_s, range_s);
 }
 
 std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
@@ -504,17 +589,8 @@ std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
   // merge work without changing any count.
   const auto wp = analysis_pool_for(num_threads);
   const MergedView i = merge_channels(idler, wp.get());
-  run_sharded(
-      signal, wp, ni,
-      [&](const SignalShard& s, std::uint64_t* row) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        std::size_t lo = sweep_start(i.t, *a0, reach);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::window_count_event(*a, i.t, i.ch, lo, half, offset_s,
-                                              reach, row);
-      },
-      [&](std::size_t c) { return counts.data() + c * ni; });
+  sweep_resolved(columns_of(signal), reach, kInf, wp.get(), ni, counts.data(),
+                 analysis_detail::window_sweep(i.t, i.ch, half, offset_s, reach));
   return counts;
 }
 
@@ -554,16 +630,8 @@ CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
   const std::size_t ni = result.num_idler;
   const auto wp = analysis_pool_for(num_threads);
   const MergedView i = merge_channels(idler, wp.get());
-  run_sharded(
-      signal, wp, ni * grid.stride,
-      [&](const SignalShard& s, std::uint64_t* row) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        std::size_t lo = sweep_start(i.t, *a0, grid.reach);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::car_count_event(*a, i.t, i.ch, lo, grid, row);
-      },
-      [&](std::size_t c) { return counts.data() + c * ni * grid.stride; });
+  sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), ni * grid.stride,
+                 counts.data(), analysis_detail::car_sweep(i.t, i.ch, grid));
 
   analysis_detail::finalize_car_cells(result, counts, grid);
   return result;
@@ -620,7 +688,7 @@ void apply_adjacent_crosstalk(std::vector<ChannelPairSpec>& specs,
                                   std::to_string(i) +
                                   ": leakage fraction outside [0, 1]");
 
-  // Neighbor flux is read from a pre-crosstalk snapshot of the specs, so
+  // Neighbor flux is read from the specs before any crosstalk is added, so
   // the result is independent of channel order and leakage never cascades
   // through a chain of bins.
   std::vector<double> flux(specs.size());

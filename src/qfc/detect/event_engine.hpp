@@ -20,14 +20,14 @@
 /// consumes only its own stream. Worker threads (a
 /// qfc::parallel::WorkerPool) claim whole channels and write into
 /// per-channel slots, so the output is bitwise identical for every value
-/// of EngineConfig::num_threads at a fixed seed — and, because a windowed
-/// run consumes the same per-stream sequences merely paused at window
-/// boundaries, the streaming engine (streaming.hpp) is bitwise identical
-/// to run() at every window size too. The batched analysis sweeps below
-/// carry the same contract: signal columns are sharded into fixed-size
-/// chunks whose per-cell integer counts merge additively in chunk order,
-/// so car_matrix/coincidence_count_matrix/correlate_all are bitwise
-/// identical at every analysis thread count.
+/// of EngineConfig::num_threads at a fixed seed. run() is one window of the
+/// engine's single windowed generator (engine_plan.hpp), the one the
+/// streaming engine (streaming.hpp) advances window by window, so a
+/// streamed run is bitwise identical to run() at every window size too. The
+/// batched analysis sweeps below carry the same contract: signal columns
+/// are sharded into fixed-size chunks whose per-cell integer counts merge
+/// additively in chunk order, so car_matrix/coincidence_count_matrix/
+/// correlate_all are bitwise identical at every analysis thread count.
 
 #include <cstdint>
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "qfc/photonics/constants.hpp"
@@ -9,21 +10,24 @@
 
 namespace qfc::detect {
 
-void PairStreamParams::validate() const {
-  if (pair_rate_hz < 0) throw std::invalid_argument("PairStreamParams: negative rate");
-  if (linewidth_hz <= 0) throw std::invalid_argument("PairStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PairStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PairStreamParams: transmission outside [0,1]");
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Signal-idler delay scale 1/(2π δν) of a Lorentzian line.
+double delay_scale(double linewidth_hz) {
+  return 1.0 / (2.0 * photonics::pi * linewidth_hz);
 }
 
-namespace detail {
-
-void emit_pair(double t0, double delay_scale, double duration_s, double transmission_a,
+/// Emit one correlated pair born at t0: Laplace-split the signal-idler
+/// delay symmetrically and thin each arm by its transmission. Every pair
+/// loop below calls it, so delay/transmission semantics and RNG order are
+/// the same in all three emission models.
+void emit_pair(double t0, double scale, double duration_s, double transmission_a,
                double transmission_b, PairStreams& s, rng::Xoshiro256& g) {
   // Symmetrize: put half the Laplace delay on each photon so neither arm
   // is systematically early.
-  const double delta = rng::sample_double_exponential(g, 1.0 / delay_scale);
+  const double delta = rng::sample_double_exponential(g, 1.0 / scale);
   const double ta = t0 + delta / 2.0;
   const double tb = t0 - delta / 2.0;
   if (ta >= 0 && ta < duration_s && rng::sample_bernoulli(g, transmission_a))
@@ -32,11 +36,44 @@ void emit_pair(double t0, double delay_scale, double duration_s, double transmis
     s.b.push_back(tb);
 }
 
-}  // namespace detail
+/// The Poisson loop behind every sampler but the pulsed one: a process at
+/// rate rate_of(k) on segment k (length len_of(k); segments consecutive from
+/// t = 0, clipped to duration_s) calls emit(t) for each event below
+/// target_s. A homogeneous rate is a single segment spanning the run. Each
+/// segment restarts the exponential clock at its own start (memorylessness
+/// makes that exact) and a segment is first drawn from only once the
+/// target reaches it.
+template <class RateOf, class LenOf, class Emit>
+void advance_poisson(detail::Sampler& s, std::size_t num_segments, const RateOf& rate_of,
+                     const LenOf& len_of, double duration_s, double target_s,
+                     rng::Xoshiro256& g, const Emit& emit) {
+  while (s.seg < num_segments && s.seg_start < duration_s) {
+    const double seg_end = std::min(s.seg_start + len_of(s.seg), duration_s);
+    const double r = rate_of(s.seg);
+    if (r > 0) {
+      if (!s.primed) {
+        if (s.seg_start >= target_s) return;
+        s.next = s.seg_start + rng::sample_exponential(g, r);
+        s.primed = true;
+      }
+      while (s.next < seg_end && s.next < target_s) {
+        emit(s.next);
+        s.next += rng::sample_exponential(g, r);
+      }
+      if (s.next < seg_end) return;  // paused mid-segment
+    }
+    s.seg_start += len_of(s.seg);
+    ++s.seg;
+    s.primed = false;
+  }
+}
 
-namespace {
-
-using detail::emit_pair;
+/// Room for `expected_pairs` pairs in both arms, plus 10% headroom.
+void reserve_pairs(PairStreams& s, double expected_pairs) {
+  const std::size_t n = static_cast<std::size_t>(expected_pairs * 1.1) + 16;
+  s.a.reserve(n);
+  s.b.reserve(n);
+}
 
 /// The pair emission times are generated in order and the signal-idler
 /// delay is ~1/(2π δν), usually far below the mean pair spacing: both
@@ -46,24 +83,120 @@ void sort_if_needed(PairStreams& s) {
   if (!std::is_sorted(s.b.begin(), s.b.end())) std::sort(s.b.begin(), s.b.end());
 }
 
+void validate_segments(const std::vector<RateSegment>& segments, double duration_s) {
+  if (segments.empty())
+    throw std::invalid_argument("RateSegment schedule: no segments");
+  double total = 0;
+  for (const RateSegment& seg : segments) {
+    if (seg.duration_s <= 0)
+      throw std::invalid_argument("RateSegment: segment duration <= 0");
+    if (seg.pair_rate_hz < 0 || seg.background_rate_signal_hz < 0 ||
+        seg.background_rate_idler_hz < 0 || seg.dark_rate_signal_hz < 0 ||
+        seg.dark_rate_idler_hz < 0)
+      throw std::invalid_argument("RateSegment: negative rate");
+    total += seg.duration_s;
+  }
+  // Tiny relative slack so schedules assembled as duration/n sums are not
+  // rejected for float rounding.
+  if (total < duration_s * (1.0 - 1e-9))
+    throw std::invalid_argument(
+        "RateSegment schedule: segments do not cover the stream duration");
+}
+
 }  // namespace
+
+// ------------------------------------------------------------ samplers
+
+namespace detail {
+
+void Sampler::advance(double rate_hz, double duration_s, double target_s,
+                      rng::Xoshiro256& g, std::vector<double>& out) {
+  advance_poisson(
+      *this, 1, [&](std::size_t) { return rate_hz; },
+      [&](std::size_t) { return duration_s; }, duration_s, target_s, g,
+      [&](double t) { out.push_back(t); });
+}
+
+void Sampler::advance(const std::vector<RateSegment>& segments,
+                      double RateSegment::*rate, double duration_s, double target_s,
+                      rng::Xoshiro256& g, std::vector<double>& out) {
+  advance_poisson(
+      *this, segments.size(), [&](std::size_t k) { return segments[k].*rate; },
+      [&](std::size_t k) { return segments[k].duration_s; }, duration_s, target_s, g,
+      [&](double t) { out.push_back(t); });
+}
+
+void Sampler::advance(const PairStreamParams& p, double target_s, rng::Xoshiro256& g,
+                      PairStreams& out) {
+  const double scale = delay_scale(p.linewidth_hz);
+  advance_poisson(
+      *this, 1, [&](std::size_t) { return p.pair_rate_hz; },
+      [&](std::size_t) { return p.duration_s; }, p.duration_s, target_s, g,
+      [&](double t) {
+        emit_pair(t, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
+      });
+}
+
+void Sampler::advance(const PiecewiseStreamParams& p, double target_s,
+                      rng::Xoshiro256& g, PairStreams& out) {
+  const double scale = delay_scale(p.linewidth_hz);
+  advance_poisson(
+      *this, p.segments.size(), [&](std::size_t k) { return p.segments[k].pair_rate_hz; },
+      [&](std::size_t k) { return p.segments[k].duration_s; }, p.duration_s, target_s,
+      g, [&](double t) {
+        emit_pair(t, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
+      });
+}
+
+void Sampler::advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro256& g,
+                      PairStreams& out) {
+  const double mu = p.mean_pairs_per_pulse;
+  if (mu == 0) return;
+  const double scale = delay_scale(p.linewidth_hz);
+  const double period = 1.0 / p.repetition_rate_hz;
+  const bool double_pulse = p.bin_separation_s > 0;
+  // Visit only the occupied pulse slots: slot occupancy is Bernoulli with
+  // p_occ = 1 - e^-mu per slot, so the index gap to the next occupied slot
+  // is geometric — sampled exactly as floor(Exp(mu)) — and the pair number
+  // of a visited slot is zero-truncated Poisson. Identical in distribution
+  // to a Poisson draw per slot, at O(emitted pairs) RNG cost instead of
+  // O(slots); comb sources run at mu << 1, where almost every slot is empty.
+  if (!primed) {
+    next = std::floor(rng::sample_exponential(g, mu));
+    primed = true;
+  }
+  for (;;) {
+    const double t_pulse = next * period;
+    if (t_pulse >= p.duration_s || t_pulse >= target_s) return;
+    const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      double t0 = t_pulse;
+      if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
+        t0 += p.bin_separation_s;
+      if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
+      emit_pair(t0, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
+    }
+    next += 1.0 + std::floor(rng::sample_exponential(g, mu));
+  }
+}
+
+}  // namespace detail
+
+// ------------------------------------------------------------- kernels
+
+void PairStreamParams::validate() const {
+  if (pair_rate_hz < 0) throw std::invalid_argument("PairStreamParams: negative rate");
+  if (linewidth_hz <= 0) throw std::invalid_argument("PairStreamParams: linewidth <= 0");
+  if (duration_s <= 0) throw std::invalid_argument("PairStreamParams: duration <= 0");
+  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
+    throw std::invalid_argument("PairStreamParams: transmission outside [0,1]");
+}
 
 PairStreams generate_pair_arrivals(const PairStreamParams& p, rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  if (p.pair_rate_hz == 0) return s;
-
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-  const std::size_t expected =
-      static_cast<std::size_t>(p.pair_rate_hz * p.duration_s * 1.1) + 16;
-  s.a.reserve(expected);
-  s.b.reserve(expected);
-
-  double t = rng::sample_exponential(g, p.pair_rate_hz);
-  while (t < p.duration_s) {
-    emit_pair(t, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-    t += rng::sample_exponential(g, p.pair_rate_hz);
-  }
+  reserve_pairs(s, p.pair_rate_hz * p.duration_s);
+  detail::Sampler{}.advance(p, kInf, g, s);
   sort_if_needed(s);
   return s;
 }
@@ -73,12 +206,7 @@ std::vector<double> generate_poisson_arrivals(double rate_hz, double duration_s,
   if (rate_hz < 0) throw std::invalid_argument("generate_poisson_arrivals: negative rate");
   if (duration_s <= 0) throw std::invalid_argument("generate_poisson_arrivals: duration <= 0");
   std::vector<double> out;
-  if (rate_hz == 0) return out;
-  double t = rng::sample_exponential(g, rate_hz);
-  while (t < duration_s) {
-    out.push_back(t);
-    t += rng::sample_exponential(g, rate_hz);
-  }
+  detail::Sampler{}.advance(rate_hz, duration_s, kInf, g, out);
   return out;
 }
 
@@ -106,67 +234,13 @@ PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
                                           rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  if (p.mean_pairs_per_pulse == 0) return s;
-
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-  const double period = 1.0 / p.repetition_rate_hz;
-  const std::size_t expected = static_cast<std::size_t>(
-                                   p.mean_pairs_per_pulse * p.duration_s / period * 1.1) +
-                               16;
-  s.a.reserve(expected);
-  s.b.reserve(expected);
-
-  const bool double_pulse = p.bin_separation_s > 0;
-  const double mu = p.mean_pairs_per_pulse;
-  // Visit only the occupied pulse slots: slot occupancy is Bernoulli with
-  // p_occ = 1 - e^-mu per slot, so the index gap to the next occupied slot
-  // is geometric — sampled exactly as floor(Exp(mu)) — and the pair number
-  // of a visited slot is zero-truncated Poisson. Identical in distribution
-  // to a Poisson draw per slot, at O(emitted pairs) RNG cost instead of
-  // O(slots); comb sources run at mu << 1, where almost every slot is empty.
-  double pulse = std::floor(rng::sample_exponential(g, mu));
-  for (;;) {
-    const double t_pulse = pulse * period;
-    if (t_pulse >= p.duration_s) break;
-    const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      double t0 = t_pulse;
-      if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
-        t0 += p.bin_separation_s;
-      if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
-      emit_pair(t0, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-    }
-    pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
-  }
+  reserve_pairs(s, p.mean_pairs_per_pulse * p.repetition_rate_hz * p.duration_s);
+  detail::Sampler{}.advance(p, kInf, g, s);
   // Within one repetition period pairs are emitted bin-unordered; across
   // periods they are time-ordered, so the streams are nearly sorted.
   sort_if_needed(s);
   return s;
 }
-
-namespace {
-
-void validate_segments(const std::vector<RateSegment>& segments, double duration_s) {
-  if (segments.empty())
-    throw std::invalid_argument("RateSegment schedule: no segments");
-  double total = 0;
-  for (const RateSegment& seg : segments) {
-    if (seg.duration_s <= 0)
-      throw std::invalid_argument("RateSegment: segment duration <= 0");
-    if (seg.pair_rate_hz < 0 || seg.background_rate_signal_hz < 0 ||
-        seg.background_rate_idler_hz < 0 || seg.dark_rate_signal_hz < 0 ||
-        seg.dark_rate_idler_hz < 0)
-      throw std::invalid_argument("RateSegment: negative rate");
-    total += seg.duration_s;
-  }
-  // Tiny relative slack so schedules assembled as duration/n sums are not
-  // rejected for float rounding.
-  if (total < duration_s * (1.0 - 1e-9))
-    throw std::invalid_argument(
-        "RateSegment schedule: segments do not cover the stream duration");
-}
-
-}  // namespace
 
 void PiecewiseStreamParams::validate() const {
   validate_segments(segments, duration_s);
@@ -181,23 +255,7 @@ PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
                                              rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-
-  double seg_start = 0;
-  for (const RateSegment& seg : p.segments) {
-    if (seg_start >= p.duration_s) break;
-    const double seg_end = std::min(seg_start + seg.duration_s, p.duration_s);
-    if (seg.pair_rate_hz > 0) {
-      // Same emission loop as the CW kernel, restarted per segment at the
-      // segment's own rate (memorylessness makes the restart exact).
-      double t = seg_start + rng::sample_exponential(g, seg.pair_rate_hz);
-      while (t < seg_end) {
-        emit_pair(t, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-        t += rng::sample_exponential(g, seg.pair_rate_hz);
-      }
-    }
-    seg_start += seg.duration_s;
-  }
+  detail::Sampler{}.advance(p, kInf, g, s);
   sort_if_needed(s);
   return s;
 }
@@ -208,22 +266,8 @@ std::vector<double> generate_piecewise_poisson_arrivals(
   if (duration_s <= 0)
     throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0");
   validate_segments(segments, duration_s);
-
   std::vector<double> out;
-  double seg_start = 0;
-  for (const RateSegment& seg : segments) {
-    if (seg_start >= duration_s) break;
-    const double seg_end = std::min(seg_start + seg.duration_s, duration_s);
-    const double r = seg.*rate;
-    if (r > 0) {
-      double t = seg_start + rng::sample_exponential(g, r);
-      while (t < seg_end) {
-        out.push_back(t);
-        t += rng::sample_exponential(g, r);
-      }
-    }
-    seg_start += seg.duration_s;
-  }
+  detail::Sampler{}.advance(segments, rate, duration_s, kInf, g, out);
   return out;
 }
 

@@ -10,10 +10,12 @@
 /// per-arm channel transmission. Detector imperfections are applied
 /// separately by SinglePhotonDetector.
 ///
-/// These are the single-stream kernels of the batched columnar
-/// EventEngine (event_engine.hpp), which applies them per channel column;
-/// multi-channel callers should use the engine rather than looping here.
+/// Every generate_* function is one advance to +∞ of a detail::Sampler
+/// below, the same resumable loop the event engine (event_engine.hpp)
+/// drives per channel and per window; multi-channel callers should use the
+/// engine rather than looping here.
 
+#include <cstddef>
 #include <vector>
 
 #include "qfc/rng/xoshiro.hpp"
@@ -104,14 +106,33 @@ std::vector<double> generate_piecewise_poisson_arrivals(
 
 namespace detail {
 
-/// Emit one correlated pair born at t0: Laplace-split the signal-idler
-/// delay symmetrically and thin each arm by its transmission. Shared by
-/// all three emission kernels — and by the windowed streaming samplers
-/// (streaming.cpp), which must consume the exact same draws per pair —
-/// so delay/transmission semantics and RNG order stay identical by
-/// construction.
-void emit_pair(double t0, double delay_scale, double duration_s, double transmission_a,
-               double transmission_b, PairStreams& s, rng::Xoshiro256& g);
+/// Resumable position of one generation loop — the only sampling loops of
+/// the engine. advance(..., target_s, g, out) emits every event below
+/// target_s (and inside the run) and pauses before the first one at or past
+/// it, drawing nothing for it, so successive advances to rising targets
+/// consume exactly the draws of one advance to +∞ on the same generator.
+/// The generate_* functions above are that one advance to +∞; the event
+/// engine (event_engine.hpp) advances window by window, and a batch run is
+/// its one-window case. A Sampler drives one loop for its whole life: the
+/// overload picks which one (same argument list as its generate_* twin).
+struct Sampler {
+  std::size_t seg = 0;   ///< current RateSegment (0 for a homogeneous rate)
+  double seg_start = 0;  ///< start time of that segment
+  double next = 0;       ///< next event time (pulsed: next occupied pulse slot)
+  bool primed = false;   ///< `next` has been drawn
+
+  void advance(double rate_hz, double duration_s, double target_s, rng::Xoshiro256& g,
+               std::vector<double>& out);
+  void advance(const std::vector<RateSegment>& segments, double RateSegment::*rate,
+               double duration_s, double target_s, rng::Xoshiro256& g,
+               std::vector<double>& out);
+  void advance(const PairStreamParams& p, double target_s, rng::Xoshiro256& g,
+               PairStreams& out);
+  void advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro256& g,
+               PairStreams& out);
+  void advance(const PiecewiseStreamParams& p, double target_s, rng::Xoshiro256& g,
+               PairStreams& out);
+};
 
 }  // namespace detail
 

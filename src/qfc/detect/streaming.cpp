@@ -1,23 +1,15 @@
 #include "qfc/detect/streaming.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
-#include "qfc/detect/channel_rng.hpp"
 #include "qfc/detect/engine_plan.hpp"
-#include "qfc/detect/event_stream.hpp"
 #include "qfc/obs/obs.hpp"
-#include "qfc/parallel/worker_pool.hpp"
-#include "qfc/photonics/constants.hpp"
-#include "qfc/rng/distributions.hpp"
 
 namespace qfc::detect {
 
@@ -26,532 +18,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoChannels = static_cast<std::size_t>(-1);
 
-// ------------------------------------------------------------- snapshots
-//
-// Versioned host-endian binary blobs: "QFCS" magic, u32 version, u8 kind,
-// then the kind-specific state. Restore re-validates configs through the
-// normal constructors, then overwrites the mutable state.
-
-constexpr std::uint32_t kSnapshotVersion = 1;
-enum SnapshotKind : std::uint8_t {
-  kKindStreamer = 0,
-  kKindCar = 1,
-  kKindCountMatrix = 2,
-  kKindCorrelator = 3,
-  kKindAllan = 4,
-};
-
-struct ByteWriter {
-  std::vector<std::uint8_t> buf;
-
-  void u8(std::uint8_t v) { buf.push_back(v); }
-  void u32(std::uint32_t v) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof v);
-    std::memcpy(buf.data() + old, &v, sizeof v);
-  }
-  void u64(std::uint64_t v) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof v);
-    std::memcpy(buf.data() + old, &v, sizeof v);
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void vec_f64(const std::vector<double>& v) {
-    u64(v.size());
-    for (double x : v) f64(x);
-  }
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
-  void vec_u32(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
-  }
-  void rng(const rng::Xoshiro256& g) {
-    for (std::uint64_t s : g.state()) u64(s);
-  }
-  void header(SnapshotKind kind) {
-    buf.push_back('Q');
-    buf.push_back('F');
-    buf.push_back('C');
-    buf.push_back('S');
-    u32(kSnapshotVersion);
-    u8(static_cast<std::uint8_t>(kind));
-  }
-};
-
-struct ByteReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  explicit ByteReader(const std::vector<std::uint8_t>& b)
-      : data(b.data()), size(b.size()) {}
-
-  void need(std::size_t n) const {
-    if (pos + n > size) throw std::invalid_argument("snapshot: truncated blob");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return data[pos++];
-  }
-  std::uint32_t u32() {
-    need(sizeof(std::uint32_t));
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(sizeof(std::uint64_t));
-    std::uint64_t v;
-    std::memcpy(&v, data + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::vector<double> vec_f64() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint64_t));
-    std::vector<double> v(n);
-    for (auto& x : v) x = f64();
-    return v;
-  }
-  std::vector<std::uint64_t> vec_u64() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint64_t));
-    std::vector<std::uint64_t> v(n);
-    for (auto& x : v) x = u64();
-    return v;
-  }
-  std::vector<std::uint32_t> vec_u32() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint32_t));
-    std::vector<std::uint32_t> v(n);
-    for (auto& x : v) x = u32();
-    return v;
-  }
-  void rng(rng::Xoshiro256& g) {
-    std::array<std::uint64_t, 4> s;
-    for (auto& x : s) x = u64();
-    g.set_state(s);
-  }
-  void header(SnapshotKind kind) {
-    need(4);
-    if (data[pos] != 'Q' || data[pos + 1] != 'F' || data[pos + 2] != 'C' ||
-        data[pos + 3] != 'S')
-      throw std::invalid_argument("snapshot: bad magic");
-    pos += 4;
-    if (u32() != kSnapshotVersion)
-      throw std::invalid_argument("snapshot: unsupported version");
-    if (u8() != static_cast<std::uint8_t>(kind))
-      throw std::invalid_argument("snapshot: wrong snapshot kind for this class");
-  }
-  void expect_end() const {
-    if (pos != size) throw std::invalid_argument("snapshot: trailing bytes");
-  }
-};
-
-// --------------------------------------------------- windowed samplers
-//
-// Resumable counterparts of the event_stream.cpp kernels. Each replicates
-// its batch kernel's loop draw for draw on the same dedicated sub-stream
-// (channel_rng.hpp), merely *pausing* when the next emission would reach
-// the advance target — so the concatenation of windowed advances consumes
-// exactly the batch draw sequence, which is the whole parity argument.
-
-/// generate_poisson_arrivals, windowed: emit every arrival < min(target,
-/// duration) into `out`.
-struct ExpState {
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(double rate_hz, double duration_s, double target_s,
-               rng::Xoshiro256& g, std::vector<double>& out) {
-    if (done) return;
-    if (!primed) {
-      if (rate_hz <= 0) {
-        done = true;  // batch draws nothing at rate 0
-        return;
-      }
-      next = rng::sample_exponential(g, rate_hz);
-      primed = true;
-    }
-    while (next < duration_s && next < target_s) {
-      out.push_back(next);
-      next += rng::sample_exponential(g, rate_hz);
-    }
-    if (next >= duration_s) done = true;
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_piecewise_poisson_arrivals, windowed. A segment whose start
-/// lies beyond the target is left unprimed (its first draw happens once
-/// the target reaches it — same dedicated stream, so the sequence is the
-/// batch one regardless of when the pause falls).
-struct PwState {
-  std::uint64_t seg = 0;
-  double seg_start = 0;
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const std::vector<RateSegment>& segments, double RateSegment::*rate,
-               double duration_s, double target_s, rng::Xoshiro256& g,
-               std::vector<double>& out) {
-    if (done) return;
-    while (true) {
-      if (seg >= segments.size() || seg_start >= duration_s) {
-        done = true;
-        return;
-      }
-      const RateSegment& sg = segments[seg];
-      const double seg_end = std::min(seg_start + sg.duration_s, duration_s);
-      const double r = sg.*rate;
-      if (r > 0) {
-        if (!primed) {
-          if (seg_start >= target_s) return;
-          next = seg_start + rng::sample_exponential(g, r);
-          primed = true;
-        }
-        while (next < seg_end && next < target_s) {
-          out.push_back(next);
-          next += rng::sample_exponential(g, r);
-        }
-        if (next < seg_end) return;  // paused mid-segment
-      }
-      seg_start += sg.duration_s;
-      ++seg;
-      primed = false;
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.u64(seg);
-    w.f64(seg_start);
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    seg = r.u64();
-    seg_start = r.f64();
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_pair_arrivals, windowed.
-struct CwPairState {
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PairStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    if (!primed) {
-      if (p.pair_rate_hz == 0) {
-        done = true;
-        return;
-      }
-      next = rng::sample_exponential(g, p.pair_rate_hz);
-      primed = true;
-    }
-    while (next < p.duration_s && next < target_s) {
-      detail::emit_pair(next, delay_scale, p.duration_s, p.transmission_a,
-                        p.transmission_b, out, g);
-      next += rng::sample_exponential(g, p.pair_rate_hz);
-    }
-    if (next >= p.duration_s) done = true;
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_pulsed_pair_arrivals, windowed: pauses before an occupied
-/// pulse slot whose nominal time reaches the target (the slot's pair
-/// number and per-pair draws happen once the target passes it).
-struct PulsedPairState {
-  double pulse = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PulsedStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    const double mu = p.mean_pairs_per_pulse;
-    if (!primed) {
-      if (mu == 0) {
-        done = true;
-        return;
-      }
-      pulse = std::floor(rng::sample_exponential(g, mu));
-      primed = true;
-    }
-    const double period = 1.0 / p.repetition_rate_hz;
-    const bool double_pulse = p.bin_separation_s > 0;
-    for (;;) {
-      const double t_pulse = pulse * period;
-      if (t_pulse >= p.duration_s) {
-        done = true;
-        return;
-      }
-      if (t_pulse >= target_s) return;  // paused before this slot
-      const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        double t0 = t_pulse;
-        if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
-          t0 += p.bin_separation_s;
-        if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
-        detail::emit_pair(t0, delay_scale, p.duration_s, p.transmission_a,
-                          p.transmission_b, out, g);
-      }
-      pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(pulse);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    pulse = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_piecewise_pair_arrivals, windowed.
-struct PwPairState {
-  std::uint64_t seg = 0;
-  double seg_start = 0;
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PiecewiseStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    while (true) {
-      if (seg >= p.segments.size() || seg_start >= p.duration_s) {
-        done = true;
-        return;
-      }
-      const RateSegment& sg = p.segments[seg];
-      const double seg_end = std::min(seg_start + sg.duration_s, p.duration_s);
-      if (sg.pair_rate_hz > 0) {
-        if (!primed) {
-          if (seg_start >= target_s) return;
-          next = seg_start + rng::sample_exponential(g, sg.pair_rate_hz);
-          primed = true;
-        }
-        while (next < seg_end && next < target_s) {
-          detail::emit_pair(next, delay_scale, p.duration_s, p.transmission_a,
-                            p.transmission_b, out, g);
-          next += rng::sample_exponential(g, sg.pair_rate_hz);
-        }
-        if (next < seg_end) return;
-      }
-      seg_start += sg.duration_s;
-      ++seg;
-      primed = false;
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.u64(seg);
-    w.f64(seg_start);
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    seg = r.u64();
-    seg_start = r.f64();
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-// ----------------------------------------------------- per-channel state
-
-/// One detector arm's carried state: arrivals generated but not yet pushed
-/// through detection (>= last window's arrival watermark) and clicks
-/// detected but not yet finalized (>= last window's click watermark).
-struct ArmState {
-  ExpState bg;      ///< spec-level homogeneous background
-  PwState pwbg;     ///< piecewise background schedule
-  ExpState dark;    ///< detector-internal homogeneous darks
-  PwState pwdark;   ///< piecewise dark schedule
-  std::vector<double> pending_arrivals;
-  std::vector<double> pending_clicks;
-  double dead_last = -1e18;  ///< dead-time filter carry (batch initial value)
-
-  void save(ByteWriter& w) const {
-    bg.save(w);
-    pwbg.save(w);
-    dark.save(w);
-    pwdark.save(w);
-    w.vec_f64(pending_arrivals);
-    w.vec_f64(pending_clicks);
-    w.f64(dead_last);
-  }
-  void load(ByteReader& r) {
-    bg.load(r);
-    pwbg.load(r);
-    dark.load(r);
-    pwdark.load(r);
-    pending_arrivals = r.vec_f64();
-    pending_clicks = r.vec_f64();
-    dead_last = r.f64();
-  }
-};
-
-struct ChannelState {
-  detail::ChannelRngs rng;
-  CwPairState cw;
-  PulsedPairState pulsed;
-  PwPairState pw;
-  ArmState a, b;
-  double prev_theta = 0;  ///< previous window's arrival watermark
-  double prev_c = 0;      ///< previous window's click watermark
-  std::uint64_t violations = 0;
-
-  void save(ByteWriter& w) const {
-    w.rng(rng.pair);
-    w.rng(rng.bg_a);
-    w.rng(rng.bg_b);
-    w.rng(rng.pwbg_a);
-    w.rng(rng.pwbg_b);
-    w.rng(rng.det_a);
-    w.rng(rng.dark_a);
-    w.rng(rng.pwdark_a);
-    w.rng(rng.det_b);
-    w.rng(rng.dark_b);
-    w.rng(rng.pwdark_b);
-    cw.save(w);
-    pulsed.save(w);
-    pw.save(w);
-    a.save(w);
-    b.save(w);
-    w.f64(prev_theta);
-    w.f64(prev_c);
-    w.u64(violations);
-  }
-  void load(ByteReader& r) {
-    r.rng(rng.pair);
-    r.rng(rng.bg_a);
-    r.rng(rng.bg_b);
-    r.rng(rng.pwbg_a);
-    r.rng(rng.pwbg_b);
-    r.rng(rng.det_a);
-    r.rng(rng.dark_a);
-    r.rng(rng.pwdark_a);
-    r.rng(rng.det_b);
-    r.rng(rng.dark_b);
-    r.rng(rng.pwdark_b);
-    cw.load(r);
-    pulsed.load(r);
-    pw.load(r);
-    a.load(r);
-    b.load(r);
-    prev_theta = r.f64();
-    prev_c = r.f64();
-    violations = r.u64();
-  }
-};
-
-void save_spec(ByteWriter& w, const ChannelPairSpec& s) {
-  w.f64(s.pair_rate_hz);
-  w.f64(s.linewidth_hz);
-  w.f64(s.transmission_signal);
-  w.f64(s.transmission_idler);
-  w.f64(s.background_rate_signal_hz);
-  w.f64(s.background_rate_idler_hz);
-  for (const DetectorParams* d : {&s.detector_signal, &s.detector_idler}) {
-    w.f64(d->efficiency);
-    w.f64(d->dark_rate_hz);
-    w.f64(d->jitter_sigma_s);
-    w.f64(d->dead_time_s);
-  }
-  w.u8(static_cast<std::uint8_t>(s.emission));
-  w.f64(s.pulsed.repetition_rate_hz);
-  w.f64(s.pulsed.mean_pairs_per_pulse);
-  w.f64(s.pulsed.pulse_sigma_s);
-  w.f64(s.pulsed.bin_separation_s);
-  w.f64(s.pulsed.late_fraction);
-  w.u64(s.segments.size());
-  for (const RateSegment& seg : s.segments) {
-    w.f64(seg.duration_s);
-    w.f64(seg.pair_rate_hz);
-    w.f64(seg.background_rate_signal_hz);
-    w.f64(seg.background_rate_idler_hz);
-    w.f64(seg.dark_rate_signal_hz);
-    w.f64(seg.dark_rate_idler_hz);
-  }
-}
-
-ChannelPairSpec load_spec(ByteReader& r) {
-  ChannelPairSpec s;
-  s.pair_rate_hz = r.f64();
-  s.linewidth_hz = r.f64();
-  s.transmission_signal = r.f64();
-  s.transmission_idler = r.f64();
-  s.background_rate_signal_hz = r.f64();
-  s.background_rate_idler_hz = r.f64();
-  for (DetectorParams* d : {&s.detector_signal, &s.detector_idler}) {
-    d->efficiency = r.f64();
-    d->dark_rate_hz = r.f64();
-    d->jitter_sigma_s = r.f64();
-    d->dead_time_s = r.f64();
-  }
-  s.emission = static_cast<EmissionMode>(r.u8());
-  if (s.emission != EmissionMode::Cw && s.emission != EmissionMode::Pulsed &&
-      s.emission != EmissionMode::PiecewiseRates)
-    throw std::invalid_argument("snapshot: bad emission mode");
-  s.pulsed.repetition_rate_hz = r.f64();
-  s.pulsed.mean_pairs_per_pulse = r.f64();
-  s.pulsed.pulse_sigma_s = r.f64();
-  s.pulsed.bin_separation_s = r.f64();
-  s.pulsed.late_fraction = r.f64();
-  const std::uint64_t nseg = r.u64();
-  s.segments.resize(nseg);
-  for (RateSegment& seg : s.segments) {
-    seg.duration_s = r.f64();
-    seg.pair_rate_hz = r.f64();
-    seg.background_rate_signal_hz = r.f64();
-    seg.background_rate_idler_hz = r.f64();
-    seg.dark_rate_signal_hz = r.f64();
-    seg.dark_rate_idler_hz = r.f64();
-  }
+const StreamConfig& checked(const StreamConfig& s) {
+  if (!(s.window_s > 0)) throw std::invalid_argument("StreamConfig: window <= 0");
   return s;
 }
 
@@ -562,64 +30,14 @@ ChannelPairSpec load_spec(ByteReader& r) {
 struct EventStreamer::Impl {
   EngineConfig cfg;
   StreamConfig stream;
-  std::vector<ChannelPairSpec> specs;
-  std::vector<detail::ChannelPlan> plans;
-  std::vector<SinglePhotonDetector> det_s, det_i;
-  std::vector<double> delay_scale;  ///< per channel, 1/(2π δν)
-  std::vector<double> spill_pair;   ///< emission look-ahead past the watermark
-  std::vector<double> spill_jit;    ///< arrival watermark past the click one
+  detail::ClickGenerator gen;
   std::size_t num_windows = 0;
   std::size_t k = 0;  ///< next window index
-  std::vector<ChannelState> chans;
-  std::unique_ptr<parallel::WorkerPool> pool;
   std::uint64_t reported_violations = 0;
 
   Impl(const EngineConfig& c, const StreamConfig& s,
-       std::vector<ChannelPairSpec> channels)
-      : cfg(c), stream(s), specs(std::move(channels)) {
-    if (cfg.duration_s <= 0)
-      throw std::invalid_argument("EngineConfig: duration <= 0");
-    if (cfg.num_threads < 0)
-      throw std::invalid_argument("EngineConfig: negative thread count");
-    if (cfg.analysis_threads < 0)
-      throw std::invalid_argument("EngineConfig: negative analysis thread count");
-    if (!(stream.window_s > 0))
-      throw std::invalid_argument("StreamConfig: window <= 0");
-
-    const std::size_t n = specs.size();
-    plans.reserve(n);
-    det_s.reserve(n);
-    det_i.reserve(n);
-    delay_scale.reserve(n);
-    spill_pair.reserve(n);
-    spill_jit.reserve(n);
-    for (const ChannelPairSpec& spec : specs) {
-      const std::size_t c = plans.size();
-      plans.push_back(detail::make_checked_plan(spec, cfg.duration_s, c));
-      det_s.emplace_back(spec.detector_signal);
-      det_i.emplace_back(spec.detector_idler);
-
-      const double scale = 1.0 / (2.0 * photonics::pi * spec.linewidth_hz);
-      delay_scale.push_back(scale);
-      // P(|Laplace| / 2 > 32 scales) = e^-64; pulsed adds the deterministic
-      // late-bin shift and 16 sigmas of pulse-envelope jitter.
-      double sp = 32.0 * scale;
-      if (spec.emission == EmissionMode::Pulsed)
-        sp += spec.pulsed.bin_separation_s + 16.0 * spec.pulsed.pulse_sigma_s;
-      double sj = 16.0 * std::max(spec.detector_signal.jitter_sigma_s,
-                                  spec.detector_idler.jitter_sigma_s);
-      if (stream.slack_override_s > 0) sp = sj = stream.slack_override_s;
-      spill_pair.push_back(sp);
-      spill_jit.push_back(sj);
-    }
-
-    rng::Xoshiro256 master(cfg.seed);
-    chans.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      rng::Xoshiro256 ch = master.fork(static_cast<std::uint64_t>(c + 1));
-      chans.push_back(ChannelState{detail::fork_channel_rngs(ch), {}, {}, {}, {}, {}});
-    }
-
+       const std::vector<ChannelPairSpec>& channels)
+      : cfg(c), stream(s), gen(c, channels, checked(s).slack_override_s) {
     num_windows = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(cfg.duration_s / stream.window_s)));
     // Guard the float-rounding edge where ceil overshoots: never start a
@@ -627,207 +45,40 @@ struct EventStreamer::Impl {
     while (num_windows > 1 &&
            static_cast<double>(num_windows - 1) * stream.window_s >= cfg.duration_s)
       --num_windows;
-
-    unsigned num_threads = cfg.num_threads > 0
-                               ? static_cast<unsigned>(cfg.num_threads)
-                               : std::max(1u, std::thread::hardware_concurrency());
-    num_threads = static_cast<unsigned>(
-        std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
-    pool = std::make_unique<parallel::WorkerPool>(num_threads);
-  }
-
-  /// One arm of one channel for one window: advance backgrounds to the
-  /// arrival watermark `theta`, detect the sorted arrival prefix < theta,
-  /// advance dark schedules to the click watermark `C`, finalize all
-  /// clicks < C (3-way merge + dead-time filter with carried state).
-  std::vector<double> process_arm(ArmState& arm, const SinglePhotonDetector& det,
-                                  double bg_rate_hz,
-                                  double RateSegment::*pwbg_member,
-                                  double RateSegment::*pwdark_member,
-                                  const detail::ChannelPlan& plan, double theta,
-                                  double C, double prev_theta, double prev_c,
-                                  rng::Xoshiro256& g_bg, rng::Xoshiro256& g_pwbg,
-                                  rng::Xoshiro256& g_det, rng::Xoshiro256& g_dark,
-                                  rng::Xoshiro256& g_pwdark,
-                                  std::uint64_t& violations) {
-    const double T = cfg.duration_s;
-    const DetectorParams& params = det.params();
-
-    // Backgrounds are complete below theta by construction of their
-    // advance target, so they feed straight into the pending arrivals.
-    if (bg_rate_hz > 0)
-      arm.bg.advance(bg_rate_hz, T, theta, g_bg, arm.pending_arrivals);
-    if (plan.mode == EmissionMode::PiecewiseRates)
-      arm.pwbg.advance(plan.piecewise.segments, pwbg_member, T, theta, g_pwbg,
-                       arm.pending_arrivals);
-
-    // Detect the sorted arrival prefix < theta. Concatenated across
-    // windows this visits every arrival in the batch engine's fully
-    // sorted order, so the detection stream's draws line up exactly.
-    auto& pending = arm.pending_arrivals;
-    if (!std::is_sorted(pending.begin(), pending.end()))
-      std::sort(pending.begin(), pending.end());
-    const auto arr_split = std::lower_bound(pending.begin(), pending.end(), theta);
-    for (auto it = pending.begin(); it != arr_split; ++it) {
-      if (*it < prev_theta) ++violations;
-      double click;
-      if (detect_photon_click(*it, params, T, g_det, click))
-        arm.pending_clicks.push_back(click);
-    }
-    pending.erase(pending.begin(), arr_split);
-
-    // Dark clicks carry no jitter, so the click watermark C is exact for
-    // them: generate straight up to C and finalize everything.
-    std::vector<double> darks, pwdarks;
-    if (params.dark_rate_hz > 0)
-      arm.dark.advance(params.dark_rate_hz, T, C, g_dark, darks);
-    if (plan.mode == EmissionMode::PiecewiseRates)
-      arm.pwdark.advance(plan.piecewise.segments, pwdark_member, T, C, g_pwdark,
-                         pwdarks);
-    if (obs::metrics_enabled() && !(darks.empty() && pwdarks.empty()))
-      obs::counter("detect.darks_injected").add(darks.size() + pwdarks.size());
-
-    // Finalize clicks < C: photon clicks first on ties, then internal
-    // darks, then schedule darks — the batch detect() merge order.
-    auto& clicks = arm.pending_clicks;
-    if (!std::is_sorted(clicks.begin(), clicks.end()))
-      std::sort(clicks.begin(), clicks.end());
-    const auto click_split = std::lower_bound(clicks.begin(), clicks.end(), C);
-    std::vector<double> merged;
-    merged.resize(static_cast<std::size_t>(click_split - clicks.begin()) +
-                  darks.size());
-    std::merge(clicks.begin(), click_split, darks.begin(), darks.end(),
-               merged.begin());
-    if (!pwdarks.empty()) {
-      std::vector<double> merged2(merged.size() + pwdarks.size());
-      std::merge(merged.begin(), merged.end(), pwdarks.begin(), pwdarks.end(),
-                 merged2.begin());
-      merged.swap(merged2);
-    }
-    clicks.erase(clicks.begin(), click_split);
-
-    for (double t : merged)
-      if (t < prev_c) ++violations;
-
-    // Dead time, carried across windows (same expression as batch).
-    if (params.dead_time_s > 0) {
-      std::vector<double> kept;
-      kept.reserve(merged.size());
-      for (double t : merged) {
-        if (t - arm.dead_last >= params.dead_time_s) {
-          kept.push_back(t);
-          arm.dead_last = t;
-        }
-      }
-      merged.swap(kept);
-    }
-    return merged;
-  }
-
-  void process_channel(std::size_t c, double C, bool last,
-                       std::vector<double>& sig_col,
-                       std::vector<double>& idl_col) {
-    QFC_OBS_SPAN("engine.stream.channel", {{"channel", c}});
-    ChannelState& st = chans[c];
-    const ChannelPairSpec& spec = specs[c];
-    const detail::ChannelPlan& plan = plans[c];
-    // Watermark ladder for this window: clicks finalize below C, arrivals
-    // are detected below theta = C + jitter slack, emission runs to
-    // E = theta + pair-delay slack. The last window drains everything.
-    const double theta = last ? kInf : C + spill_jit[c];
-    const double E = last ? kInf : theta + spill_pair[c];
-
-    PairStreams fresh;
-    switch (plan.mode) {
-      case EmissionMode::Cw:
-        st.cw.advance(plan.cw, delay_scale[c], E, st.rng.pair, fresh);
-        break;
-      case EmissionMode::Pulsed:
-        st.pulsed.advance(plan.pulsed, delay_scale[c], E, st.rng.pair, fresh);
-        break;
-      case EmissionMode::PiecewiseRates:
-        st.pw.advance(plan.piecewise, delay_scale[c], E, st.rng.pair, fresh);
-        break;
-    }
-    if (obs::metrics_enabled())
-      obs::counter("engine.events_generated").add(fresh.a.size() + fresh.b.size());
-    st.a.pending_arrivals.insert(st.a.pending_arrivals.end(), fresh.a.begin(),
-                                 fresh.a.end());
-    st.b.pending_arrivals.insert(st.b.pending_arrivals.end(), fresh.b.begin(),
-                                 fresh.b.end());
-
-    sig_col = process_arm(st.a, det_s[c], spec.background_rate_signal_hz,
-                          &RateSegment::background_rate_signal_hz,
-                          &RateSegment::dark_rate_signal_hz, plan, theta, C,
-                          st.prev_theta, st.prev_c, st.rng.bg_a, st.rng.pwbg_a,
-                          st.rng.det_a, st.rng.dark_a, st.rng.pwdark_a,
-                          st.violations);
-    idl_col = process_arm(st.b, det_i[c], spec.background_rate_idler_hz,
-                          &RateSegment::background_rate_idler_hz,
-                          &RateSegment::dark_rate_idler_hz, plan, theta, C,
-                          st.prev_theta, st.prev_c, st.rng.bg_b, st.rng.pwbg_b,
-                          st.rng.det_b, st.rng.dark_b, st.rng.pwdark_b,
-                          st.violations);
-    if (obs::metrics_enabled())
-      obs::counter("engine.clicks_kept").add(sig_col.size() + idl_col.size());
-    st.prev_theta = theta;
-    st.prev_c = C;
   }
 
   bool next(StreamWindow& out) {
     if (k >= num_windows) return false;
     QFC_OBS_SPAN("engine.stream.window", {{"index", k}});
-    const double W = stream.window_s;
     const bool last = (k + 1 == num_windows);
-    const double t_begin = static_cast<double>(k) * W;
-    const double C =
+    const double until =
         last ? cfg.duration_s
-             : std::min(static_cast<double>(k + 1) * W, cfg.duration_s);
-
-    const std::size_t n = chans.size();
-    std::vector<std::vector<double>> sig_cols(n), idl_cols(n);
-    pool->run(n, [&](std::size_t c) {
-      process_channel(c, C, last, sig_cols[c], idl_cols[c]);
-    });
-
-    out.events.signal = EventTable::from_columns(std::move(sig_cols));
-    out.events.idler = EventTable::from_columns(std::move(idl_cols));
+             : std::min(static_cast<double>(k + 1) * stream.window_s, cfg.duration_s);
+    out.events = gen.advance(until, last, "engine.stream.channel");
     out.index = k;
-    out.t_begin_s = t_begin;
-    out.t_end_s = C;
+    out.t_begin_s = static_cast<double>(k) * stream.window_s;
+    out.t_end_s = until;
     out.last = last;
     ++k;
 
-    const std::uint64_t viol = total_violations();
+    const std::uint64_t viol = gen.boundary_violations();
     if (obs::metrics_enabled()) {
       obs::counter("engine.stream.windows").increment();
       if (viol > reported_violations)
-        obs::counter("engine.stream.boundary_violations")
-            .add(viol - reported_violations);
-      std::size_t backlog = 0;
-      for (const ChannelState& st : chans)
-        backlog += st.a.pending_arrivals.size() + st.a.pending_clicks.size() +
-                   st.b.pending_arrivals.size() + st.b.pending_clicks.size();
+        obs::counter("engine.stream.boundary_violations").add(viol - reported_violations);
       obs::gauge("engine.stream.backlog_events")
-          .set(static_cast<long long>(backlog));
+          .set(static_cast<long long>(gen.backlog_events()));
       obs::gauge("engine.stream.rss_kb").set(obs::current_rss_kb());
     }
     reported_violations = viol;
     return true;
   }
-
-  std::uint64_t total_violations() const {
-    std::uint64_t v = 0;
-    for (const ChannelState& st : chans) v += st.violations;
-    return v;
-  }
 };
 
 EventStreamer::EventStreamer(const EngineConfig& cfg, const StreamConfig& stream,
                              std::vector<ChannelPairSpec> channels)
-    : impl_(std::make_unique<Impl>(cfg, stream, std::move(channels))) {}
+    : impl_(std::make_unique<Impl>(cfg, stream, channels)) {}
 
-EventStreamer::EventStreamer(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 EventStreamer::~EventStreamer() = default;
 EventStreamer::EventStreamer(EventStreamer&&) noexcept = default;
 EventStreamer& EventStreamer::operator=(EventStreamer&&) noexcept = default;
@@ -837,59 +88,16 @@ bool EventStreamer::done() const { return impl_->k >= impl_->num_windows; }
 std::size_t EventStreamer::next_window() const { return impl_->k; }
 std::size_t EventStreamer::num_windows() const { return impl_->num_windows; }
 std::uint64_t EventStreamer::boundary_violations() const {
-  return impl_->total_violations();
+  return impl_->gen.boundary_violations();
 }
 const EngineConfig& EventStreamer::config() const { return impl_->cfg; }
 const StreamConfig& EventStreamer::stream_config() const { return impl_->stream; }
-
-std::vector<std::uint8_t> EventStreamer::snapshot() const {
-  ByteWriter w;
-  w.header(kKindStreamer);
-  w.f64(impl_->cfg.duration_s);
-  w.u64(impl_->cfg.seed);
-  w.u64(static_cast<std::uint64_t>(impl_->cfg.num_threads));
-  w.u64(static_cast<std::uint64_t>(impl_->cfg.analysis_threads));
-  w.f64(impl_->stream.window_s);
-  w.f64(impl_->stream.slack_override_s);
-  w.u64(impl_->specs.size());
-  for (const ChannelPairSpec& s : impl_->specs) save_spec(w, s);
-  w.u64(impl_->k);
-  w.u64(impl_->reported_violations);
-  for (const ChannelState& st : impl_->chans) st.save(w);
-  return std::move(w.buf);
-}
-
-EventStreamer EventStreamer::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindStreamer);
-  EngineConfig cfg;
-  cfg.duration_s = r.f64();
-  cfg.seed = r.u64();
-  cfg.num_threads = static_cast<int>(r.u64());
-  cfg.analysis_threads = static_cast<int>(r.u64());
-  StreamConfig stream;
-  stream.window_s = r.f64();
-  stream.slack_override_s = r.f64();
-  const std::uint64_t n = r.u64();
-  std::vector<ChannelPairSpec> specs;
-  specs.reserve(n);
-  for (std::uint64_t c = 0; c < n; ++c) specs.push_back(load_spec(r));
-
-  // Reconstruct through the normal constructor (full validation), then
-  // overwrite the mutable state with the serialized one.
-  EventStreamer out(cfg, stream, std::move(specs));
-  out.impl_->k = r.u64();
-  out.impl_->reported_violations = r.u64();
-  for (ChannelState& st : out.impl_->chans) st.load(r);
-  r.expect_end();
-  return out;
-}
 
 // ------------------------------------------------ streaming accumulators
 
 namespace {
 
-using analysis_detail::kAnalysisChunkEvents;
+using analysis_detail::columns_of;
 
 /// Repair co-sorted (time, channel) arrays after a boundary violation made
 /// an append non-monotone. Rare path (never taken at default slack).
@@ -953,51 +161,14 @@ struct MergedRoll {
   }
 
   /// Count every signal event whose full reach lies behind `frontier`
-  /// through `count_event(ta, lo, row)`, then drop it and trim the merged
-  /// idler view below everything any future event can reach. Chunk
-  /// boundaries depend only on the data, and per-chunk partial counts are
-  /// integers merged in chunk order — so the counts are bitwise identical
-  /// to the batch sweep at every worker count and window size.
-  template <class CountFn>
+  /// (analysis_detail::sweep_resolved), then drop it and trim the merged
+  /// idler view below everything any future event can reach.
   void resolve(double frontier, double reach, std::size_t row_size,
                parallel::WorkerPool* pool, std::vector<std::uint64_t>& counts,
-               const CountFn& count_event) {
+               const analysis_detail::ChunkSweep& sweep) {
     if (ns == kNoChannels) return;
-    struct Chunk {
-      std::size_t ch, begin, end;
-    };
-    std::vector<Chunk> chunks;
-    std::vector<std::size_t> resolved(ns, 0);
-    for (std::size_t c = 0; c < ns; ++c) {
-      const auto& p = pending[c];
-      const auto split = std::partition_point(
-          p.begin(), p.end(),
-          [&](double ta) { return ta + reach < frontier; });
-      const std::size_t nres = static_cast<std::size_t>(split - p.begin());
-      resolved[c] = nres;
-      for (std::size_t b = 0; b < nres; b += kAnalysisChunkEvents)
-        chunks.push_back({c, b, std::min(nres, b + kAnalysisChunkEvents)});
-    }
-    if (!chunks.empty()) {
-      std::vector<std::vector<std::uint64_t>> partials(chunks.size());
-      const auto run_chunk = [&](std::size_t i) {
-        const Chunk& ck = chunks[i];
-        auto& part = partials[i];
-        part.assign(row_size, 0);
-        const double* base = pending[ck.ch].data();
-        std::size_t lo = analysis_detail::sweep_start(it, base[ck.begin], reach);
-        for (std::size_t e = ck.begin; e < ck.end; ++e)
-          count_event(base[e], lo, part.data());
-      };
-      if (pool && pool->size() > 1 && chunks.size() > 1)
-        pool->run(chunks.size(), run_chunk);
-      else
-        for (std::size_t i = 0; i < chunks.size(); ++i) run_chunk(i);
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        std::uint64_t* row = counts.data() + chunks[i].ch * row_size;
-        for (std::size_t j = 0; j < row_size; ++j) row[j] += partials[i][j];
-      }
-    }
+    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
+        columns_of(pending), reach, frontier, pool, row_size, counts.data(), sweep);
     double trim_t = frontier;
     for (std::size_t c = 0; c < ns; ++c) {
       auto& p = pending[c];
@@ -1013,24 +184,6 @@ struct MergedRoll {
       it.clear();
       ich.clear();
     }
-  }
-
-  void save(ByteWriter& w) const {
-    w.u64(ns == kNoChannels ? std::uint64_t(-1) : ns);
-    w.u64(ni == kNoChannels ? std::uint64_t(-1) : ni);
-    w.vec_f64(it);
-    w.vec_u32(ich);
-    w.u64(pending.size());
-    for (const auto& p : pending) w.vec_f64(p);
-  }
-  void load(ByteReader& r) {
-    const std::uint64_t rns = r.u64(), rni = r.u64();
-    ns = rns == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rns);
-    ni = rni == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rni);
-    it = r.vec_f64();
-    ich = r.vec_u32();
-    pending.resize(r.u64());
-    for (auto& p : pending) p = r.vec_f64();
   }
 };
 
@@ -1069,10 +222,7 @@ struct StreamingCarAccumulator::Impl {
 
   void resolve(double frontier) {
     roll.resolve(frontier, grid.reach, roll.ni * grid.stride, pool.get(), counts,
-                 [&](double ta, std::size_t& lo, std::uint64_t* row) {
-                   analysis_detail::car_count_event(ta, roll.it, roll.ich, lo,
-                                                    grid, row);
-                 });
+                 analysis_detail::car_sweep(roll.it, roll.ich, grid));
   }
 
   CarMatrix finish() {
@@ -1106,25 +256,6 @@ StreamingCarAccumulator& StreamingCarAccumulator::operator=(
 void StreamingCarAccumulator::push(const StreamWindow& w) { impl_->push(w); }
 CarMatrix StreamingCarAccumulator::finish() { return impl_->finish(); }
 
-std::vector<std::uint8_t> StreamingCarAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error("StreamingCarAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCar);
-  impl_->roll.save(w);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
-}
-
-void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCar);
-  impl_->roll.load(r);
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
-}
-
 // ---------------------------------------- StreamingCountMatrixAccumulator
 
 struct StreamingCountMatrixAccumulator::Impl {
@@ -1154,10 +285,7 @@ struct StreamingCountMatrixAccumulator::Impl {
 
   void resolve(double frontier) {
     roll.resolve(frontier, reach, roll.ni, pool.get(), counts,
-                 [&](double ta, std::size_t& lo, std::uint64_t* row) {
-                   analysis_detail::window_count_event(ta, roll.it, roll.ich, lo,
-                                                       half, offset_s, reach, row);
-                 });
+                 analysis_detail::window_sweep(roll.it, roll.ich, half, offset_s, reach));
   }
 
   std::vector<std::uint64_t> finish() {
@@ -1186,27 +314,6 @@ void StreamingCountMatrixAccumulator::push(const StreamWindow& w) {
 }
 std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
   return impl_->finish();
-}
-
-std::vector<std::uint8_t> StreamingCountMatrixAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error(
-        "StreamingCountMatrixAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCountMatrix);
-  impl_->roll.save(w);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
-}
-
-void StreamingCountMatrixAccumulator::restore(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCountMatrix);
-  impl_->roll.load(r);
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
 }
 
 // ---------------------------------------- StreamingCorrelatorAccumulator
@@ -1255,45 +362,10 @@ struct StreamingCorrelatorAccumulator::Impl {
 
   void resolve(double frontier) {
     if (nch == kNoChannels) return;
-    struct Chunk {
-      std::size_t ch, begin, end;
-    };
-    std::vector<Chunk> chunks;
-    std::vector<std::size_t> resolved(nch, 0);
-    for (std::size_t c = 0; c < nch; ++c) {
-      const auto& p = pending[c];
-      const auto split = std::partition_point(
-          p.begin(), p.end(),
-          [&](double ta) { return ta + range_s < frontier; });
-      const std::size_t nres = static_cast<std::size_t>(split - p.begin());
-      resolved[c] = nres;
-      for (std::size_t b = 0; b < nres; b += kAnalysisChunkEvents)
-        chunks.push_back({c, b, std::min(nres, b + kAnalysisChunkEvents)});
-    }
-    if (!chunks.empty()) {
-      std::vector<std::vector<std::uint64_t>> partials(chunks.size());
-      const auto run_chunk = [&](std::size_t i) {
-        const Chunk& ck = chunks[i];
-        auto& part = partials[i];
-        part.assign(num_bins, 0);
-        const double* base = pending[ck.ch].data();
-        const double* ib = idler[ck.ch].data();
-        const double* ie = ib + idler[ck.ch].size();
-        const double* lo = std::lower_bound(ib, ie, base[ck.begin] - range_s);
-        for (std::size_t e = ck.begin; e < ck.end; ++e)
-          analysis_detail::corr_count_event(base[e], ie, lo, bin_width_s,
-                                            range_s, half_bins, num_bins,
-                                            part.data());
-      };
-      if (pool && pool->size() > 1 && chunks.size() > 1)
-        pool->run(chunks.size(), run_chunk);
-      else
-        for (std::size_t i = 0; i < chunks.size(); ++i) run_chunk(i);
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        std::uint64_t* row = counts.data() + chunks[i].ch * num_bins;
-        for (std::size_t j = 0; j < num_bins; ++j) row[j] += partials[i][j];
-      }
-    }
+    const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
+    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
+        columns_of(pending), range_s, frontier, pool.get(), num_bins, counts.data(),
+        analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins, num_bins));
     for (std::size_t c = 0; c < nch; ++c) {
       auto& p = pending[c];
       p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
@@ -1317,15 +389,7 @@ struct StreamingCorrelatorAccumulator::Impl {
     finished = true;
     if (nch == kNoChannels) return {};
     resolve(kInf);
-    std::vector<CoincidenceHistogram> hists(nch);
-    for (std::size_t c = 0; c < nch; ++c) {
-      hists[c].bin_width_s = bin_width_s;
-      hists[c].range_s = range_s;
-      hists[c].counts.assign(counts.begin() + static_cast<std::ptrdiff_t>(c * num_bins),
-                             counts.begin() +
-                                 static_cast<std::ptrdiff_t>((c + 1) * num_bins));
-    }
-    return hists;
+    return analysis_detail::split_histograms(counts, num_bins, bin_width_s, range_s);
   }
 };
 
@@ -1344,36 +408,6 @@ void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
 }
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
   return impl_->finish();
-}
-
-std::vector<std::uint8_t> StreamingCorrelatorAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error(
-        "StreamingCorrelatorAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCorrelator);
-  w.u64(impl_->nch == kNoChannels ? std::uint64_t(-1) : impl_->nch);
-  w.u64(impl_->idler.size());
-  for (const auto& col : impl_->idler) w.vec_f64(col);
-  w.u64(impl_->pending.size());
-  for (const auto& col : impl_->pending) w.vec_f64(col);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
-}
-
-void StreamingCorrelatorAccumulator::restore(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCorrelator);
-  const std::uint64_t rn = r.u64();
-  impl_->nch = rn == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rn);
-  impl_->idler.resize(r.u64());
-  for (auto& col : impl_->idler) col = r.vec_f64();
-  impl_->pending.resize(r.u64());
-  for (auto& col : impl_->pending) col = r.vec_f64();
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
 }
 
 // -------------------------------------------- StreamingAllanAccumulator
@@ -1461,31 +495,6 @@ StreamingAllanAccumulator& StreamingAllanAccumulator::operator=(
 void StreamingAllanAccumulator::push(const StreamWindow& w) { impl_->push(w); }
 StreamingAllanResult StreamingAllanAccumulator::finish() {
   return impl_->finish();
-}
-
-std::vector<std::uint8_t> StreamingAllanAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error("StreamingAllanAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindAllan);
-  w.u64(impl_->idx);
-  w.vec_f64(impl_->buf_a);
-  w.vec_f64(impl_->buf_b);
-  w.vec_f64(impl_->counts);
-  w.f64(impl_->frontier);
-  return std::move(w.buf);
-}
-
-void StreamingAllanAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindAllan);
-  impl_->idx = r.u64();
-  impl_->buf_a = r.vec_f64();
-  impl_->buf_b = r.vec_f64();
-  impl_->counts = r.vec_f64();
-  impl_->frontier = r.f64();
-  impl_->finished = false;
-  r.expect_end();
 }
 
 }  // namespace qfc::detect

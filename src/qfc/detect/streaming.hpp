@@ -8,29 +8,25 @@
 /// correlate_all / Allan-deviation results, discarding consumed events as
 /// they resolve, so resident memory stays flat no matter how long the run.
 ///
-/// Determinism and parity contract: every per-stage RNG sub-stream of the
-/// batch engine (channel_rng.hpp) is paused — never re-seeded or reordered
-/// — at window boundaries, and every analysis count goes through the same
-/// inline per-event functions as the batch sweeps (analysis_sweep.hpp).
-/// Consequently a streamed run is **bitwise identical** to
-/// EventEngine::run + the batch analysis helpers at every window size, and
-/// at every generation / analysis thread count.
+/// Determinism and parity contract: batch is one window of the single
+/// implementation. EventStreamer::next and EventEngine::run drive the same
+/// per-channel generator (engine_plan.hpp), which only pauses each stage's
+/// own RNG sub-stream (channel_rng.hpp) at a window boundary, and every
+/// accumulator is the batch analysis sweep resolved window by window
+/// (analysis_sweep.hpp). Consequently a streamed run is **bitwise
+/// identical** to EventEngine::run + the batch analysis helpers at every
+/// window size, and at every generation / analysis thread count.
 ///
 /// Window boundary handling: the delay and jitter distributions have
 /// unbounded support, so a photon born inside window k can click inside
 /// window k+1 (and, with probability ~e^-64 at the default slack of 32
 /// Laplace scales / 16 jitter sigmas, even earlier than a window already
-/// emitted). The streamer generates ahead of the finalize watermark by a
+/// emitted). The generator runs ahead of the finalize watermark by a
 /// per-channel slack, carries pending arrivals / clicks across windows,
 /// and counts the astronomically rare stragglers that still land behind an
 /// emitted boundary in boundary_violations() (they are folded into the
 /// current window, keeping every column sorted, instead of being dropped).
 /// StreamConfig::slack_override_s exists so tests can force that path.
-///
-/// Snapshot / restore: EventStreamer and every accumulator serialize their
-/// complete state (per-channel RNG streams, sampler positions, pending
-/// buffers, partial counts) to a versioned binary blob; a restored run
-/// continues bitwise identical to the uninterrupted one.
 
 #include <cstdint>
 #include <memory>
@@ -100,15 +96,8 @@ class EventStreamer {
   const EngineConfig& config() const;
   const StreamConfig& stream_config() const;
 
-  /// Serialize the complete generator state (configs, specs, per-channel
-  /// RNG streams, sampler positions, pending events). restore() rebuilds a
-  /// streamer that continues bitwise identically to the original.
-  std::vector<std::uint8_t> snapshot() const;
-  static EventStreamer restore(const std::vector<std::uint8_t>& blob);
-
  private:
   struct Impl;
-  explicit EventStreamer(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 
@@ -126,11 +115,6 @@ class StreamingCarAccumulator {
 
   void push(const StreamWindow& w);
   CarMatrix finish();
-
-  /// Partial-state blob; restore() into a freshly constructed accumulator
-  /// with the same constructor arguments.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;
@@ -150,9 +134,6 @@ class StreamingCountMatrixAccumulator {
   void push(const StreamWindow& w);
   std::vector<std::uint64_t> finish();
 
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -170,9 +151,6 @@ class StreamingCorrelatorAccumulator {
 
   void push(const StreamWindow& w);
   std::vector<CoincidenceHistogram> finish();
-
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;
@@ -203,9 +181,6 @@ class StreamingAllanAccumulator {
 
   void push(const StreamWindow& w);
   StreamingAllanResult finish();
-
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;

@@ -1,6 +1,9 @@
 #include "qfc/sweep/sweep.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <exception>
+#include <string_view>
 #include <utility>
 
 #include "qfc/parallel/worker_pool.hpp"
@@ -18,7 +21,19 @@ struct Axis {
   std::vector<io::Json> values;
 };
 
-Axis parse_axis(const io::JsonView& axis) {
+/// True for a whole number that a double holds exactly.
+bool is_whole(double x) {
+  return std::isfinite(x) && std::trunc(x) == x && std::abs(x) <= 9007199254740992.0;
+}
+
+/// The declared type of `param` in `scenario` (empty when it declares none).
+std::string_view param_type(const Scenario& scenario, const std::string& param) {
+  for (const ParamSpec& p : scenario.params)
+    if (param == p.name) return p.type;
+  return {};
+}
+
+Axis parse_axis(const io::JsonView& axis, const Scenario& scenario) {
   axis.require_keys_among({"param", "values", "linspace"});
   Axis out;
   out.param = axis.at("param").as_string();
@@ -43,6 +58,19 @@ Axis parse_axis(const io::JsonView& axis) {
     const double stop = ls.at("stop").as_number();
     const auto count = ls.at("count").as_int_in(1, static_cast<std::int64_t>(kMaxInstances));
     out.values.reserve(static_cast<std::size_t>(count));
+    if (param_type(scenario, out.param) == "integer") {
+      // An integer parameter reads Int values only, so its grid must be
+      // whole numbers: a whole start and, past one point, a whole stop and
+      // step. Then every point is exact integer arithmetic.
+      const double step = count == 1 ? 0.0 : (stop - start) / static_cast<double>(count - 1);
+      if (!is_whole(start) || (count > 1 && !(is_whole(stop) && is_whole(step))))
+        ls.fail("integer parameter '" + out.param +
+                "' needs a grid of whole numbers (whole start, stop and step)");
+      for (std::int64_t i = 0; i < count; ++i)
+        out.values.push_back(io::Json(static_cast<std::int64_t>(start) +
+                                      i * static_cast<std::int64_t>(step)));
+      return out;
+    }
     for (std::int64_t i = 0; i < count; ++i) {
       // Endpoint-exact evenly spaced grid; a single point sits at start.
       const double t = count == 1 ? 0.0
@@ -57,7 +85,8 @@ Axis parse_axis(const io::JsonView& axis) {
 void expand_one_sweep(const io::JsonView& sweep, SweepPlan& plan) {
   sweep.require_keys_among({"scenario", "base", "axes"});
   const std::string& name = sweep.at("scenario").as_string();
-  if (ScenarioRegistry::instance().find(name) == nullptr) {
+  const Scenario* scenario = ScenarioRegistry::instance().find(name);
+  if (scenario == nullptr) {
     std::string known;
     for (const Scenario& s : ScenarioRegistry::instance().scenarios()) {
       if (!known.empty()) known += ", ";
@@ -80,7 +109,7 @@ void expand_one_sweep(const io::JsonView& sweep, SweepPlan& plan) {
     const io::JsonView axes_view = sweep.at("axes");
     const std::size_t n = axes_view.array_size();
     for (std::size_t i = 0; i < n; ++i) {
-      Axis axis = parse_axis(axes_view.at(i));
+      Axis axis = parse_axis(axes_view.at(i), *scenario);
       if (combinations > kMaxInstances / axis.values.size())
         axes_view.fail("axis product exceeds the instance cap");
       combinations *= axis.values.size();

@@ -36,7 +36,10 @@
 ///
 /// Each axis contributes either an explicit scalar list ("values") or an
 /// evenly spaced numeric grid ("linspace", count points from start to
-/// stop inclusive). A sweep with no axes is a single instance of "base".
+/// stop inclusive). Over a parameter the scenario declares "integer" (as
+/// "seed" above) the grid must be whole numbers and expands to integers;
+/// any other grid is an expansion error naming the axis. A sweep with no
+/// axes is a single instance of "base".
 
 #include <cstddef>
 #include <string>

@@ -1,7 +1,7 @@
 // Tests for the windowed streaming engine and its online accumulators:
 // bitwise streaming-vs-batch parity across emission modes, window sizes
-// and thread counts; snapshot/restore; boundary-violation accounting; and
-// the streaming-backed core façades.
+// and thread counts; boundary-violation accounting; and the
+// streaming-backed core façades.
 
 #include <cstdlib>
 #include <string>
@@ -264,58 +264,6 @@ TEST(EventStreamer, RejectsBadConfigsLikeBatch) {
   auto bad = specs;
   bad[0].pair_rate_hz = -5;
   EXPECT_THROW(EventStreamer(ec, sc, bad), std::invalid_argument);
-}
-
-TEST(EventStreamer, SnapshotRestoreContinuesBitwise) {
-  const auto specs = specs_for(detect::EmissionMode::PiecewiseRates);
-  StreamConfig sc;
-  sc.window_s = 0.07;
-  EventStreamer original(engine_config(), sc, specs);
-  detect::StreamingCarAccumulator car_orig(kCarWindow, kCarSpacing, 10, 2);
-
-  StreamWindow w;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(original.next(w));
-    car_orig.push(w);
-  }
-  const auto streamer_blob = original.snapshot();
-  const auto car_blob = car_orig.snapshot();
-
-  EventStreamer restored = EventStreamer::restore(streamer_blob);
-  EXPECT_EQ(restored.next_window(), original.next_window());
-  EXPECT_EQ(restored.num_windows(), original.num_windows());
-  detect::StreamingCarAccumulator car_rest(kCarWindow, kCarSpacing, 10, 2);
-  car_rest.restore(car_blob);
-
-  StreamWindow wo, wr;
-  while (original.next(wo)) {
-    ASSERT_TRUE(restored.next(wr));
-    EXPECT_EQ(wr.index, wo.index);
-    EXPECT_EQ(wr.events.signal, wo.events.signal);
-    EXPECT_EQ(wr.events.idler, wo.events.idler);
-    car_orig.push(wo);
-    car_rest.push(wr);
-  }
-  EXPECT_FALSE(restored.next(wr));
-  expect_car_equal(car_rest.finish(), car_orig.finish());
-}
-
-TEST(EventStreamer, SnapshotRejectsCorruptBlobs) {
-  const auto specs = specs_for(detect::EmissionMode::Cw);
-  StreamConfig sc;
-  sc.window_s = 0.1;
-  EventStreamer s(engine_config(), sc, specs);
-  auto blob = s.snapshot();
-  EXPECT_THROW(EventStreamer::restore({}), std::invalid_argument);
-  auto truncated = blob;
-  truncated.resize(truncated.size() / 2);
-  EXPECT_THROW(EventStreamer::restore(truncated), std::invalid_argument);
-  auto bad_magic = blob;
-  bad_magic[0] = 'X';
-  EXPECT_THROW(EventStreamer::restore(bad_magic), std::invalid_argument);
-  // An accumulator blob is not a streamer blob.
-  detect::StreamingAllanAccumulator allan(40e-9, 0.1);
-  EXPECT_THROW(EventStreamer::restore(allan.snapshot()), std::invalid_argument);
 }
 
 TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {

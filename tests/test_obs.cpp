@@ -3,7 +3,8 @@
 // counter/gauge/histogram correctness (including under 4-thread contention),
 // valid-JSON round-trips of both exports, RunReport deltas, the worker-pool
 // and linalg instrumentation hooks, and the contract that matters most:
-// enabling or disabling obs never changes a single computed bit.
+// enabling or disabling obs never changes a single computed bit, and the
+// span and counter identities the repository benchmark reads.
 
 #include <atomic>
 #include <cctype>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "qfc/detect/event_engine.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/obs/obs.hpp"
@@ -436,6 +438,90 @@ TEST(Obs, EnablingObsNeverChangesEngineResults) {
   for (std::size_t c = 0; c < hists_off.size(); ++c)
     EXPECT_EQ(hists_off[c].counts, hists_on[c].counts);
   EXPECT_GT(res_off.signal.size() + res_off.idler.size(), 0u);
+}
+
+TEST(Obs, BatchRunIsOneWindowWithoutStreamingSpans) {
+  // The benchmark's trace fold sums engine.run and engine.stream.window
+  // spans into detect.generate_ms and reads engine.stream.windows as
+  // detect.windows: a batch run must feed neither streaming name. Its work
+  // counters must equal those of the same specs streamed in 8 windows.
+  ObsStateGuard guard;
+
+  std::vector<detect::ChannelPairSpec> specs(3);
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    auto& s = specs[k];
+    s.pair_rate_hz = 30000.0;
+    s.linewidth_hz = 110e6;
+    s.transmission_signal = 0.8;
+    s.transmission_idler = 0.75;
+    s.background_rate_signal_hz = 2000.0;
+    s.detector_signal.efficiency = 0.25;
+    s.detector_signal.dark_rate_hz = 5e3;
+    s.detector_signal.jitter_sigma_s = 120e-12;
+    s.detector_signal.dead_time_s = 1e-6;
+    s.detector_idler = s.detector_signal;
+  }
+  specs[1].emission = detect::EmissionMode::Pulsed;
+  specs[1].pair_rate_hz = 0;
+  specs[1].pulsed.repetition_rate_hz = 1e6;
+  specs[1].pulsed.mean_pairs_per_pulse = 0.03;
+  specs[1].pulsed.bin_separation_s = 400e-12;
+  specs[2].emission = detect::EmissionMode::PiecewiseRates;
+  specs[2].pair_rate_hz = 0;
+  specs[2].segments = {{0.05, 20000.0, 1000.0, 500.0, 300.0, 200.0},
+                       {0.05, 40000.0, 0.0, 0.0, 0.0, 0.0}};
+  detect::EngineConfig ec;
+  ec.duration_s = 0.08;
+  ec.seed = 77;
+  ec.num_threads = 2;
+
+  const char* const names[] = {"engine.events_generated", "engine.clicks_kept",
+                               "detect.darks_injected",   "engine.emission.cw",
+                               "engine.emission.pulsed",  "engine.emission.piecewise"};
+  const auto read_counters = [&] {
+    std::vector<std::uint64_t> v;
+    for (const char* name : names) v.push_back(obs::counter(name).value());
+    return v;
+  };
+
+  obs::enable();
+  (void)detect::EventEngine(ec).run(specs);
+  const std::vector<std::uint64_t> batch = read_counters();
+  EXPECT_EQ(obs::counter("engine.stream.windows").value(), 0u);
+  const auto events = parse_events(obs::trace_json());
+  const ParsedEvent* run = nullptr;
+  std::size_t runs = 0, generates = 0;
+  for (const auto& ev : events) {
+    EXPECT_NE(ev.name, "engine.stream.window");
+    EXPECT_NE(ev.name, "engine.stream.channel");
+    if (ev.name == "engine.run") {
+      run = &ev;
+      ++runs;
+    }
+  }
+  ASSERT_EQ(runs, 1u);
+  for (const auto& ev : events) {
+    if (ev.name != "engine.generate") continue;
+    ++generates;
+    EXPECT_GE(ev.ts, run->ts);
+    EXPECT_LE(ev.ts + ev.dur, run->ts + run->dur);
+  }
+  EXPECT_EQ(generates, specs.size());
+
+  obs::reset();
+  detect::StreamConfig sc;
+  sc.window_s = ec.duration_s / 8;
+  detect::EventStreamer streamer(ec, sc, specs);
+  ASSERT_EQ(streamer.num_windows(), 8u);
+  detect::StreamWindow w;
+  while (streamer.next(w)) {
+  }
+  obs::disable();
+  EXPECT_EQ(obs::counter("engine.stream.windows").value(), 8u);
+  EXPECT_EQ(read_counters(), batch);
+  EXPECT_GT(batch[0], 0u);
+  EXPECT_GT(batch[2], 0u);
+  EXPECT_EQ(batch[3] + batch[4] + batch[5], specs.size());
 }
 
 }  // namespace

@@ -134,6 +134,28 @@ TEST(SweepExpansion, CartesianProductLastAxisFastest) {
   EXPECT_EQ(value(1, "detection_efficiency_scale"), 0.75);
   EXPECT_EQ(value(2, "detection_efficiency_scale"), 1.0);  // endpoint exact
   EXPECT_EQ(value(3, "detection_efficiency_scale"), 0.5);
+
+  // The sweep.hpp doc example: a linspace over an integer parameter
+  // expands to integers, which the scenario's integer getter accepts.
+  const auto doc = sweep::expand_sweep_config(parse_config(R"({
+    "sweeps": [{
+      "scenario": "qkd_link_budget",
+      "base": { "dark_rate_hz": 500.0 },
+      "axes": [
+        { "param": "distance_km", "values": [0, 10, 20] },
+        { "param": "seed", "linspace": { "start": 0, "stop": 30, "count": 4 } }
+      ]
+    }]
+  })"));
+  ASSERT_EQ(doc.instances.size(), 12u);
+  for (std::size_t i = 0; i < doc.instances.size(); ++i) {
+    const Json* seed = doc.instances[i].params.find("seed");
+    ASSERT_NE(seed, nullptr);
+    ASSERT_TRUE(seed->is_int()) << "instance " << i;
+    EXPECT_EQ(seed->int_value(), 10 * static_cast<std::int64_t>(i % 4));
+    EXPECT_EQ(JsonView(doc.instances[i].params).at("seed").as_int(),
+              seed->int_value());
+  }
 }
 
 TEST(SweepExpansion, ConfigErrorsNameThePath) {
@@ -162,6 +184,15 @@ TEST(SweepExpansion, ConfigErrorsNameThePath) {
       sweep::expand_sweep_config(parse_config(
           R"({"sweeps":[{"scenario":"qudit_source","axes":[{"param":"dimension","values":[]}]}]})")),
       JsonError);
+  // A linspace over an integer parameter must be a grid of whole numbers.
+  try {
+    sweep::expand_sweep_config(parse_config(
+        R"({"sweeps":[{"scenario":"qudit_source","axes":[{"param":"dimension","linspace":{"start":2,"stop":10,"count":4}}]}]})"));
+    FAIL() << "non-integral grid over an integer parameter accepted";
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("$.sweeps[0].axes[0].linspace"), std::string::npos) << what;
+  }
   // Instance cap: 101 x 101 > 10000 fails at expansion time.
   EXPECT_THROW(sweep::expand_sweep_config(parse_config(R"({
     "sweeps": [{"scenario": "qudit_source", "axes": [
