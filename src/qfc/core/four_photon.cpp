@@ -36,6 +36,8 @@ io::Json FourPhotonResult::to_json() const {
   j.set("four_photon_state_fidelity", four_photon_state_fidelity);
   j.set("tomo_iterations_pair", tomo_iterations_pair);
   j.set("tomo_iterations_four", tomo_iterations_four);
+  j.set("tomo_converged_pair", tomo_converged_pair);
+  j.set("tomo_converged_four", tomo_converged_four);
   return j;
 }
 
@@ -103,6 +105,7 @@ FourPhotonResult FourPhotonExperiment::run() {
       tomo::simulate_counts(rho_b, cfg_.tomo_shots_per_setting, cfg_.tomo_noise, g);
   const auto mle_b = tomo::maximum_likelihood(counts_b);
   res.bell_fidelity_b = quantum::fidelity(mle_b.rho, bell);
+  res.tomo_converged_pair = mle_a.converged && mle_b.converged;
 
   const auto counts4 =
       tomo::simulate_counts(rho4, cfg_.tomo_shots_per_setting, cfg_.tomo_noise, g);
@@ -110,6 +113,7 @@ FourPhotonResult FourPhotonExperiment::run() {
   res.four_photon_fidelity = quantum::fidelity(mle4.rho, bell4);
   res.four_photon_state_fidelity = quantum::fidelity(rho4, bell4);
   res.tomo_iterations_four = mle4.iterations;
+  res.tomo_converged_four = mle4.converged;
 
   return res;
 }

@@ -51,6 +51,8 @@ struct FourPhotonResult {
   double four_photon_state_fidelity = 0;  ///< of the true (noise-model) state
   int tomo_iterations_pair = 0;
   int tomo_iterations_four = 0;
+  bool tomo_converged_pair = false;  ///< both pair fits met the MLE tolerance
+  bool tomo_converged_four = false;  ///< false: the fit stopped at the iteration cap
 
   io::Json to_json() const;
 };

@@ -8,6 +8,7 @@
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/photonics/constants.hpp"
+#include "qfc/quantum/measures.hpp"
 #include "qfc/rng/distributions.hpp"
 
 namespace qfc::qudit {
@@ -69,24 +70,20 @@ CVec basis_column(const CMat& basis, std::size_t k) {
   return v;
 }
 
-/// Projector onto joint outcome `o` (mixed-radix over d per particle) of
-/// the setting with the given per-particle MUB indices.
-CMat setting_projector(const std::vector<CMat>& mubs,
-                       const std::vector<std::size_t>& bases, std::size_t d,
-                       std::size_t o) {
-  CMat proj;
-  std::size_t rem = o;
+/// State of joint outcome `o` (mixed-radix over d per particle) of the
+/// setting with the given per-particle MUB indices: the tensor product of
+/// the measured basis columns.
+CVec setting_state(const std::vector<CMat>& mubs, const std::vector<std::size_t>& bases,
+                   std::size_t d, std::size_t o) {
   std::vector<std::size_t> outcome(bases.size());
   for (std::size_t q = bases.size(); q-- > 0;) {
-    outcome[q] = rem % d;
-    rem /= d;
+    outcome[q] = o % d;
+    o /= d;
   }
-  for (std::size_t q = 0; q < bases.size(); ++q) {
-    const CVec v = basis_column(mubs[bases[q]], outcome[q]);
-    const CMat p1 = linalg::outer(v, v);
-    proj = (q == 0) ? p1 : linalg::kron(proj, p1);
-  }
-  return proj;
+  CVec state{cplx(1, 0)};
+  for (std::size_t q = 0; q < bases.size(); ++q)
+    state = linalg::kron(state, basis_column(mubs[bases[q]], outcome[q]));
+  return state;
 }
 
 std::size_t checked_particles(const std::vector<MubSettingCounts>& data, std::size_t d,
@@ -166,7 +163,8 @@ std::vector<MubSettingCounts> simulate_mub_counts(const DDensityMatrix& rho,
     }
     sc.counts.resize(dim);
     for (std::size_t o = 0; o < dim; ++o) {
-      const double p = rho.probability(setting_projector(mubs, sc.bases, d, o));
+      // Born probability ⟨ψ|ρ|ψ⟩ (the pure-state fidelity), clipped to [0, 1].
+      const double p = quantum::fidelity(rho.matrix(), setting_state(mubs, sc.bases, d, o));
       sc.counts[o] = rng::sample_poisson(g, shots_per_setting * p);
     }
     out.push_back(std::move(sc));
@@ -239,7 +237,7 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
   for (const auto& sc : data)
     for (std::size_t o = 0; o < sc.counts.size(); ++o) {
       if (sc.counts[o] == 0) continue;
-      terms.push_back(tomo::ProjectorTerm{setting_projector(mubs, sc.bases, d, o),
+      terms.push_back(tomo::ProjectorTerm{setting_state(mubs, sc.bases, d, o),
                                           static_cast<double>(sc.counts[o])});
     }
 
@@ -249,7 +247,8 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
 
   Dims dims(num_particles, d);
   MubMleResult res{DDensityMatrix(std::move(core.rho), std::move(dims), 1e-6),
-                   core.iterations, core.converged, core.log_likelihood};
+                   core.iterations, core.converged, core.log_likelihood,
+                   core.final_update_norm};
   return res;
 }
 

@@ -52,6 +52,7 @@ struct MubMleResult {
   int iterations = 0;
   bool converged = false;
   double log_likelihood = 0;
+  double final_update_norm = 0;  ///< Frobenius norm of the last ρ update
 };
 
 /// Maximum-likelihood reconstruction: projected linear inversion seeds the

@@ -8,6 +8,7 @@
 #include "qfc/linalg/error.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/photonics/constants.hpp"
+#include "qfc/quantum/measures.hpp"
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
 
@@ -54,25 +55,29 @@ CVec basis_eigenstate(char basis, int sign, double phase_error_rad) {
   }
 }
 
-CMat setting_outcome_projector(const MeasurementSetting& s, std::size_t outcome,
-                               const std::vector<double>& phase_errors) {
+CVec setting_outcome_state(const MeasurementSetting& s, std::size_t outcome,
+                           const std::vector<double>& phase_errors) {
   const std::size_t n = s.num_qubits();
   if (outcome >= (std::size_t{1} << n))
-    throw std::out_of_range("outcome_projector: outcome out of range");
-  CMat proj;
+    throw std::out_of_range("outcome_state: outcome out of range");
+  CVec state{cplx(1, 0)};
   for (std::size_t q = 0; q < n; ++q) {
     const int bit = (outcome >> (n - 1 - q)) & 1;
     const double err = phase_errors.empty() ? 0.0 : phase_errors[q];
-    const CMat p1 = quantum::projector(basis_eigenstate(s.bases[q], bit ? -1 : +1, err));
-    proj = (q == 0) ? p1 : linalg::kron(proj, p1);
+    state = linalg::kron(state, basis_eigenstate(s.bases[q], bit ? -1 : +1, err));
   }
-  return proj;
+  return state;
 }
 
 }  // namespace
 
+CVec outcome_state(const MeasurementSetting& s, std::size_t outcome) {
+  return setting_outcome_state(s, outcome, {});
+}
+
 CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome) {
-  return setting_outcome_projector(s, outcome, {});
+  const CVec v = outcome_state(s, outcome);
+  return linalg::outer(v, v);
 }
 
 std::uint64_t SettingCounts::total() const {
@@ -100,7 +105,9 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
     sc.setting = s;
     sc.counts.resize(num_outcomes);
     for (std::size_t o = 0; o < num_outcomes; ++o) {
-      const double p = rho.probability(setting_outcome_projector(s, o, errs));
+      // Born probability ⟨ψ|ρ|ψ⟩ (the pure-state fidelity), clipped to [0, 1].
+      const double p =
+          quantum::fidelity(rho.matrix(), setting_outcome_state(s, o, errs));
       const double mean = shots_per_setting * p + noise.accidentals_per_outcome;
       sc.counts[o] = rng::sample_poisson(g, mean);
     }
@@ -179,21 +186,54 @@ CMat linear_inversion(const std::vector<SettingCounts>& data) {
   return rho;
 }
 
+namespace {
+
+/// p_t = Re ψ_t†ρψ_t for every packed term: row t of B = Φ·ρ is ψ_t†ρ, and
+/// its product with ψ_t = conj(row t of Φ) is the probability.
+void term_probabilities(const CMat& phi, const CMat& rho, linalg::RVec& p) {
+  const CMat b = phi * rho;
+  const std::size_t dim = phi.cols();
+  const cplx* bt = b.data();
+  const cplx* ft = phi.data();
+  for (std::size_t t = 0; t < p.size(); ++t, bt += dim, ft += dim) {
+    double s = 0;
+    for (std::size_t j = 0; j < dim; ++j)
+      s += bt[j].real() * ft[j].real() + bt[j].imag() * ft[j].imag();
+    p[t] = s;
+  }
+}
+
+}  // namespace
+
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const CMat& seed, const MleOptions& opts) {
   seed.require_square("rrr_reconstruct");
   const std::size_t dim = seed.rows();
   double grand_total = 0;
+  std::size_t num_active = 0;
   for (const auto& t : terms) {
-    if (t.projector.rows() != dim || t.projector.cols() != dim)
-      throw std::invalid_argument("rrr_reconstruct: projector dim mismatch");
+    if (t.state.size() != dim)
+      throw std::invalid_argument("rrr_reconstruct: state vector length != seed dim");
     if (t.count < 0)
       throw std::invalid_argument(
           "rrr_reconstruct: negative count (background-subtracted data is not "
           "valid RρR input)");
     grand_total += t.count;
+    if (t.count > 0) ++num_active;
   }
   if (grand_total <= 0) throw std::invalid_argument("rrr_reconstruct: no counts");
+
+  // Pack the terms that carry counts once: Φ (row t = ψ_t†) and Ψ = Φ†.
+  CMat phi(num_active, dim);
+  linalg::RVec counts;
+  counts.reserve(num_active);
+  for (const auto& t : terms) {
+    if (t.count <= 0) continue;
+    cplx* row = phi.data() + counts.size() * dim;
+    for (std::size_t j = 0; j < dim; ++j) row[j] = std::conj(t.state[j]);
+    counts.push_back(t.count);
+  }
+  const CMat psi = phi.adjoint();
 
   // Mix a little identity into the seed so no projector starts at exactly
   // zero probability.
@@ -206,15 +246,17 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
   }
 
   RrrResult res;
+  linalg::RVec p(num_active);
   for (int it = 0; it < opts.max_iterations; ++it) {
-    CMat r(dim, dim);
-    for (const auto& t : terms) {
-      if (t.count <= 0) continue;
-      const double p = std::max(1e-12, std::real(trace_product(rho, t.projector)));
-      CMat scaled = t.projector;
-      scaled *= cplx(t.count / (grand_total * p), 0);
-      r += scaled;
+    // R = Σ_t w_t |ψ_t⟩⟨ψ_t| = Ψ·diag(w)·Φ with w_t = c_t / (N p_t).
+    term_probabilities(phi, rho, p);
+    CMat phi_w = phi;
+    for (std::size_t t = 0; t < num_active; ++t) {
+      const double w = counts[t] / (grand_total * std::max(1e-12, p[t]));
+      cplx* row = phi_w.data() + t * dim;
+      for (std::size_t j = 0; j < dim; ++j) row[j] *= w;
     }
+    const CMat r = psi * phi_w;
     CMat next = r * rho * r;
     const cplx tr = next.trace();
     if (std::abs(tr) < 1e-300)
@@ -223,10 +265,10 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
     CMat diff = next;
     diff -= rho;
-    const double delta = diff.frobenius_norm();
+    res.final_update_norm = diff.frobenius_norm();
     rho = std::move(next);
     res.iterations = it + 1;
-    if (delta < opts.convergence_tol) {
+    if (res.final_update_norm < opts.convergence_tol) {
       res.converged = true;
       break;
     }
@@ -234,12 +276,10 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
   // Final cleanup: enforce exact Hermiticity/PSD within tolerance.
   rho = linalg::project_to_density_matrix(rho);
+  term_probabilities(phi, rho, p);
   double ll = 0;
-  for (const auto& t : terms) {
-    if (t.count <= 0) continue;
-    const double p = std::max(1e-300, std::real(trace_product(rho, t.projector)));
-    ll += t.count * std::log(p);
-  }
+  for (std::size_t t = 0; t < num_active; ++t)
+    ll += counts[t] * std::log(std::max(1e-300, p[t]));
   res.log_likelihood = ll;
   res.rho = std::move(rho);
   return res;
@@ -268,8 +308,8 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
   for (const auto& d : data)
     for (std::size_t o = 0; o < d.counts.size(); ++o) {
       if (d.counts[o] == 0) continue;
-      terms.push_back(ProjectorTerm{outcome_projector(d.setting, o),
-                                    static_cast<double>(d.counts[o])});
+      terms.push_back(
+          ProjectorTerm{outcome_state(d.setting, o), static_cast<double>(d.counts[o])});
     }
 
   // Seed: physical projection of the linear-inversion estimate.
@@ -277,7 +317,7 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
   RrrResult core = rrr_reconstruct(terms, seed, opts);
 
   MleResult res{quantum::DensityMatrix(std::move(core.rho), 1e-6), core.iterations,
-                core.converged, core.log_likelihood};
+                core.converged, core.log_likelihood, core.final_update_norm};
   return res;
 }
 

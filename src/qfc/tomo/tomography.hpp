@@ -26,8 +26,12 @@ struct MeasurementSetting {
 /// All 3^n settings for n qubits, in lexicographic order (X < Y < Z).
 std::vector<MeasurementSetting> all_settings(std::size_t num_qubits);
 
-/// Projector onto outcome o (bitmask, bit q = 1 means the −1 eigenstate on
-/// qubit q, with qubit 0 the most significant bit) of the given setting.
+/// State |ψ⟩ of outcome o (bitmask, bit q = 1 means the −1 eigenstate on
+/// qubit q, with qubit 0 the most significant bit) of the given setting:
+/// the tensor product of the per-qubit basis eigenstates.
+linalg::CVec outcome_state(const MeasurementSetting& s, std::size_t outcome);
+
+/// Projector |ψ⟩⟨ψ| onto outcome o: outer(outcome_state(s, o)).
 linalg::CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome);
 
 /// Counts observed for one setting: counts[outcome] for all 2^n outcomes.
@@ -69,6 +73,7 @@ struct MleResult {
   int iterations = 0;
   bool converged = false;
   double log_likelihood = 0;
+  double final_update_norm = 0;  ///< Frobenius norm of the last ρ update
 };
 
 /// Maximum-likelihood reconstruction via the iterative RρR algorithm
@@ -80,9 +85,11 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
 // Dimension-agnostic RρR core, shared by the qubit path above and by the
 // frequency-bin qudit MUB tomography in qfc::qudit.
 
-/// One measured projector with its observed count.
+/// One measured rank-1 projector |ψ⟩⟨ψ| with its observed count. Every
+/// projector of a product-basis measurement is rank 1, so the term stores
+/// only the unit state vector ψ.
 struct ProjectorTerm {
-  linalg::CMat projector;
+  linalg::CVec state;
   double count = 0;
 };
 
@@ -91,12 +98,20 @@ struct RrrResult {
   int iterations = 0;
   bool converged = false;
   double log_likelihood = 0;
+  double final_update_norm = 0;  ///< Frobenius norm of the last ρ update
 };
 
 /// Iterative RρR maximum-likelihood reconstruction over an arbitrary list
 /// of projector/count terms in any dimension. `seed` must be a Hermitian
 /// unit-trace matrix of the right dimension (it is mixed with a sliver of
-/// identity internally so no term starts at zero probability).
+/// identity internally so no term starts at zero probability). Every
+/// term's state must have length dim (std::invalid_argument otherwise).
+///
+/// The T terms with nonzero count are packed once into Φ (T × dim, row t =
+/// ψ_t†). Per iteration the cost is two dim×T GEMMs through the linalg
+/// seam — B = Φ·ρ, whose rows give p_t = ψ_t†ρψ_t, and R = Σ_t w_t |ψ_t⟩⟨ψ_t|
+/// = Φ†·diag(w)·Φ — plus O(T·dim) for the probabilities and weights and
+/// the dim³ product R·ρ·R.
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const linalg::CMat& seed, const MleOptions& opts = {});
 

@@ -177,6 +177,23 @@ TEST(FourPhotonExperimentTest, VisibilityAndFidelityNearPaper) {
   EXPECT_LT(r.four_photon_fidelity, 0.85);
 }
 
+TEST(FourPhotonExperimentTest, JsonReportsSolverConvergence) {
+  auto comb = QuantumFrequencyComb::for_configuration(
+      core::PumpConfiguration::DoublePulseFourMode);
+  core::FourPhotonConfig cfg;
+  cfg.tomo_shots_per_setting = 150;
+  const auto r = comb.four_photon(cfg).run();
+  const auto j = r.to_json();
+  const auto* pair = j.find("tomo_converged_pair");
+  const auto* four = j.find("tomo_converged_four");
+  ASSERT_NE(pair, nullptr);
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(pair->bool_value(), r.tomo_converged_pair);
+  EXPECT_EQ(four->bool_value(), r.tomo_converged_four);
+  // A fit that stopped early met its tolerance; one at the cap did not.
+  EXPECT_EQ(r.tomo_converged_four, r.tomo_iterations_four < tomo::MleOptions{}.max_iterations);
+}
+
 TEST(FourPhotonExperimentTest, TrueStateIsProductOfPairs) {
   auto comb = QuantumFrequencyComb::for_configuration(
       core::PumpConfiguration::DoublePulseFourMode);

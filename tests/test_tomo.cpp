@@ -1,5 +1,6 @@
 // Tests for quantum state tomography (S8): settings, projectors, count
-// simulation, linear inversion, maximum likelihood.
+// simulation, linear inversion, maximum likelihood, and the rank-1 RρR
+// core against the dense loop it replaced.
 
 #include <cmath>
 
@@ -9,14 +10,74 @@
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
+#include "qfc/qudit/mub.hpp"
 #include "qfc/tomo/tomography.hpp"
 
 namespace {
 
 using namespace qfc;
+using linalg::cplx;
 using quantum::bell_phi;
 using quantum::DensityMatrix;
 using quantum::werner_phi;
+
+/// The dense RρR loop the rank-1 core replaced, kept as an oracle: every
+/// iteration rebuilds R from full projectors |ψ⟩⟨ψ|.
+tomo::RrrResult dense_rrr(const std::vector<tomo::ProjectorTerm>& terms,
+                          const linalg::CMat& seed, const tomo::MleOptions& opts) {
+  const std::size_t dim = seed.rows();
+  std::vector<linalg::CMat> proj;
+  double total = 0;
+  for (const auto& t : terms) {
+    proj.push_back(linalg::outer(t.state, t.state));
+    total += t.count;
+  }
+  linalg::CMat rho = seed * cplx(1.0 - 1e-3, 0) +
+                     linalg::CMat::identity(dim) * cplx(1e-3 / static_cast<double>(dim), 0);
+  tomo::RrrResult res;
+  for (int it = 0; it < opts.max_iterations && !res.converged; ++it) {
+    linalg::CMat r(dim, dim);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      if (terms[i].count <= 0) continue;
+      const double p = std::max(1e-12, std::real(linalg::trace_product(rho, proj[i])));
+      r += proj[i] * cplx(terms[i].count / (total * p), 0);
+    }
+    linalg::CMat next = r * rho * r;
+    next *= cplx(1.0, 0) / next.trace();
+    res.final_update_norm = (next - rho).frobenius_norm();
+    rho = std::move(next);
+    res.iterations = it + 1;
+    res.converged = res.final_update_norm < opts.convergence_tol;
+  }
+  res.rho = linalg::project_to_density_matrix(rho);
+  for (std::size_t i = 0; i < terms.size(); ++i)
+    if (terms[i].count > 0)
+      res.log_likelihood += terms[i].count *
+          std::log(std::max(1e-300, std::real(linalg::trace_product(res.rho, proj[i]))));
+  return res;
+}
+
+std::vector<tomo::ProjectorTerm> qubit_terms(const std::vector<tomo::SettingCounts>& data) {
+  std::vector<tomo::ProjectorTerm> terms;
+  for (const auto& d : data)
+    for (std::size_t o = 0; o < d.counts.size(); ++o)
+      if (d.counts[o] > 0)
+        terms.push_back(tomo::ProjectorTerm{tomo::outcome_state(d.setting, o),
+                                            static_cast<double>(d.counts[o])});
+  return terms;
+}
+
+void expect_matches_dense(const std::vector<tomo::ProjectorTerm>& terms,
+                          const linalg::CMat& seed, const tomo::MleOptions& opts) {
+  const auto fast = tomo::rrr_reconstruct(terms, seed, opts);
+  const auto dense = dense_rrr(terms, seed, opts);
+  EXPECT_EQ(fast.iterations, dense.iterations);
+  EXPECT_EQ(fast.converged, dense.converged);
+  EXPECT_LT((fast.rho - dense.rho).frobenius_norm(), 1e-12);
+  EXPECT_LT(std::abs(fast.log_likelihood - dense.log_likelihood),
+            1e-12 * std::abs(dense.log_likelihood));
+  EXPECT_NEAR(fast.final_update_norm, dense.final_update_norm, 1e-12);
+}
 
 TEST(Settings, CountAndContent) {
   const auto s1 = tomo::all_settings(1);
@@ -40,6 +101,15 @@ TEST(Projectors, CompleteAndOrthogonal) {
   }
   EXPECT_LT((sum - linalg::CMat::identity(4)).max_abs(), 1e-12);
   EXPECT_THROW(tomo::outcome_projector(s, 4), std::out_of_range);
+}
+
+TEST(Projectors, ProjectorIsOuterOfOutcomeState) {
+  for (const auto& s : tomo::all_settings(3))
+    for (std::size_t o = 0; o < 8; ++o) {
+      const auto v = tomo::outcome_state(s, o);
+      EXPECT_EQ(tomo::outcome_projector(s, o), linalg::outer(v, v)) << s.bases << o;
+    }
+  EXPECT_THROW(tomo::outcome_state(tomo::MeasurementSetting{"XY"}, 4), std::out_of_range);
 }
 
 TEST(Projectors, ZBasisIsComputational) {
@@ -181,20 +251,86 @@ TEST(Tomography, RejectsBadInput) {
 
 TEST(Tomography, RrrCoreValidatesTerms) {
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
-  linalg::CMat p0(2, 2);
-  p0(0, 0) = linalg::cplx(1, 0);
+  const linalg::CVec p0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
   // Empty / zero-count data has nothing to reconstruct from.
   EXPECT_THROW(tomo::rrr_reconstruct({}, seed), std::invalid_argument);
-  // Mis-sized projectors and negative (background-subtracted) counts are
+  // Mis-sized state vectors and negative (background-subtracted) counts are
   // rejected rather than silently mis-normalizing the iteration.
-  EXPECT_THROW(tomo::rrr_reconstruct({{linalg::CMat::identity(3), 10.0}}, seed),
-               std::invalid_argument);
+  const linalg::CVec wrong_length(3, linalg::cplx(1, 0));
+  try {
+    tomo::rrr_reconstruct({{wrong_length, 10.0}}, seed);
+    ADD_FAILURE() << "a wrong-length state vector was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rrr_reconstruct"), std::string::npos);
+  }
   EXPECT_THROW(tomo::rrr_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed),
                std::invalid_argument);
   // A well-posed single-projector problem converges to that projector.
   const auto res = tomo::rrr_reconstruct({{p0, 100.0}}, seed);
   EXPECT_TRUE(res.converged);
+  EXPECT_LT(res.final_update_norm, tomo::MleOptions{}.convergence_tol);
   EXPECT_NEAR(std::real(res.rho(0, 0)), 1.0, 1e-6);
+}
+
+// ------------------------------------------- rank-1 core vs the dense loop
+
+TEST(Tomography, RrrCoreMatchesDenseLoopTwoAndThreeQubits) {
+  rng::Xoshiro256 g(21);
+  tomo::MleOptions opts;
+  opts.max_iterations = 300;
+  opts.convergence_tol = 0;  // run every iteration: equal counts by construction
+  const auto pair = tomo::simulate_counts(werner_phi(0.8), 400.0, {}, g);
+  expect_matches_dense(qubit_terms(pair),
+                       linalg::project_to_density_matrix(tomo::linear_inversion(pair)),
+                       opts);
+
+  tomo::NoiseKnobs knobs;
+  knobs.analyzer_phase_rms_rad = 0.2;
+  knobs.accidentals_per_outcome = 0.5;
+  const DensityMatrix three = werner_phi(0.9).tensor(DensityMatrix(quantum::StateVector(
+      linalg::CVec{linalg::cplx(0.6, 0), linalg::cplx(0, 0.8)})));
+  const auto triple = tomo::simulate_counts(three, 100.0, knobs, g);
+  expect_matches_dense(qubit_terms(triple),
+                       linalg::project_to_density_matrix(tomo::linear_inversion(triple)),
+                       opts);
+
+  // At the default tolerance both stop on the same iteration.
+  opts = {};
+  opts.convergence_tol = 1e-7;
+  expect_matches_dense(qubit_terms(pair),
+                       linalg::project_to_density_matrix(tomo::linear_inversion(pair)),
+                       opts);
+}
+
+TEST(Tomography, RrrCoreMatchesDenseLoopOnQutritMubData) {
+  const std::size_t d = 3;
+  rng::Xoshiro256 g(22);
+  const auto rho = qudit::isotropic_noise(qudit::DState::maximally_entangled(d), 0.85);
+  const auto data = qudit::simulate_mub_counts(rho, 300.0, g);
+  const auto mubs = qudit::mub_bases(d);
+  const auto column = [&](std::size_t b, std::size_t k) {
+    linalg::CVec v(d);
+    for (std::size_t j = 0; j < d; ++j) v[j] = mubs[b](j, k);
+    return v;
+  };
+  std::vector<tomo::ProjectorTerm> terms;
+  for (const auto& sc : data)
+    for (std::size_t o = 0; o < sc.counts.size(); ++o)
+      if (sc.counts[o] > 0)
+        terms.push_back(tomo::ProjectorTerm{
+            linalg::kron(column(sc.bases[0], o / d), column(sc.bases[1], o % d)),
+            static_cast<double>(sc.counts[o])});
+  tomo::MleOptions opts;
+  opts.max_iterations = 300;
+  opts.convergence_tol = 0;
+  const auto seed = linalg::project_to_density_matrix(qudit::mub_linear_inversion(data, d, 2));
+  expect_matches_dense(terms, seed, opts);
+
+  // The MUB MLE builds the same terms and runs the same core.
+  const auto mle = qudit::mub_maximum_likelihood(data, d, 2, opts);
+  const auto dense = dense_rrr(terms, seed, opts);
+  EXPECT_EQ(mle.iterations, dense.iterations);
+  EXPECT_LT((mle.rho.matrix() - dense.rho).frobenius_norm(), 1e-12);
 }
 
 // ------------------------------------------------------ batch sweep seams
@@ -207,14 +343,7 @@ TEST(Tomography, RrrBatchMatchesScalarBitwise) {
   std::vector<linalg::CMat> seeds;
   for (double v : {1.0, 0.8, 0.6}) {
     const auto data = tomo::simulate_counts(werner_phi(v), 20000, {}, g);
-    std::vector<tomo::ProjectorTerm> terms;
-    for (const auto& d : data)
-      for (std::size_t o = 0; o < d.counts.size(); ++o) {
-        if (d.counts[o] == 0) continue;
-        terms.push_back(tomo::ProjectorTerm{tomo::outcome_projector(d.setting, o),
-                                            static_cast<double>(d.counts[o])});
-      }
-    problems.push_back(std::move(terms));
+    problems.push_back(qubit_terms(data));
     seeds.push_back(
         linalg::project_to_density_matrix(tomo::linear_inversion(data)));
   }
@@ -228,6 +357,7 @@ TEST(Tomography, RrrBatchMatchesScalarBitwise) {
     EXPECT_EQ(single.iterations, batch[i].iterations) << "i=" << i;
     EXPECT_EQ(single.converged, batch[i].converged) << "i=" << i;
     EXPECT_EQ(single.log_likelihood, batch[i].log_likelihood) << "i=" << i;
+    EXPECT_EQ(single.final_update_norm, batch[i].final_update_norm) << "i=" << i;
     EXPECT_EQ(single.rho, batch[i].rho) << "i=" << i;
   }
 
