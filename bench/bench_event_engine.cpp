@@ -157,16 +157,28 @@ std::vector<detect::CarResult> legacy_car_matrix(
   return cells;
 }
 
+/// Generation + car_matrix at the process-wide detect thread setting.
 detect::CarMatrix engine_car_matrix(const std::vector<detect::ChannelPairSpec>& specs,
-                                    double duration_s, int num_threads,
+                                    double duration_s,
                                     std::size_t* total_events = nullptr) {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = kSeed;
-  ec.num_threads = num_threads;
   const detect::EngineResult events = detect::EventEngine(ec).run(specs);
   if (total_events != nullptr) *total_events = events.signal.size() + events.idler.size();
   return detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
+}
+
+/// One EventEngine::run at `threads` detect threads; restores the process
+/// request afterwards.
+detect::EngineResult run_at_threads(const detect::EngineConfig& ec,
+                                    const std::vector<detect::ChannelPairSpec>& specs,
+                                    unsigned threads) {
+  const unsigned saved_request = detect::analysis_thread_request();
+  detect::set_analysis_threads(threads);
+  detect::EngineResult result = detect::EventEngine(ec).run(specs);
+  detect::set_analysis_threads(saved_request);
+  return result;
 }
 
 bool cells_identical(const std::vector<detect::CarResult>& legacy,
@@ -206,16 +218,13 @@ ModeRow bench_mode(const char* emission, const std::vector<detect::ChannelPairSp
   ec.duration_s = duration_s;
   ec.seed = kSeed;
 
-  ec.num_threads = 0;
   auto t0 = Clock::now();
   const detect::EngineResult events = detect::EventEngine(ec).run(specs);
   detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
   const double engine_ms = ms_since(t0);
 
-  ec.num_threads = 1;
-  const auto r1 = detect::EventEngine(ec).run(specs);
-  ec.num_threads = 4;
-  const auto r4 = detect::EventEngine(ec).run(specs);
+  const auto r1 = run_at_threads(ec, specs, 1);
+  const auto r4 = run_at_threads(ec, specs, 4);
 
   ModeRow row;
   row.emission = emission;
@@ -246,10 +255,10 @@ std::vector<AnalysisRow> bench_analysis_threads(const detect::EngineResult& even
     AnalysisRow row;
     row.threads = threads;
 
-    // Route through the process-wide cached pool (num_threads = 0) and
-    // build it with an untimed warm-up sweep, so the timed region measures
-    // the sharded sweep only — never worker spawn/teardown, which would
-    // bias speedup_vs_1t toward whichever leg matches the cached pool size.
+    // Size the process-wide detect pool and build it with an untimed
+    // warm-up sweep, so the timed region measures the sharded sweep only —
+    // never worker spawn/teardown, which would bias speedup_vs_1t toward
+    // whichever leg matches the cached pool size.
     detect::set_analysis_threads(static_cast<unsigned>(threads));
     detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
 
@@ -391,8 +400,7 @@ int main(int argc, char** argv) {
 
     t0 = Clock::now();
     std::size_t total_events = 0;
-    const auto engine = engine_car_matrix(specs, duration_s, /*num_threads=*/0,
-                                          &total_events);
+    const auto engine = engine_car_matrix(specs, duration_s, &total_events);
     const double engine_ms = ms_since(t0);
 
     Row row;
@@ -419,10 +427,8 @@ int main(int argc, char** argv) {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = kSeed;
-  ec.num_threads = 1;
-  const auto r1 = detect::EventEngine(ec).run(specs10);
-  ec.num_threads = 4;
-  const auto r4 = detect::EventEngine(ec).run(specs10);
+  const auto r1 = run_at_threads(ec, specs10, 1);
+  const auto r4 = run_at_threads(ec, specs10, 4);
   const bool deterministic = r1.signal == r4.signal && r1.idler == r4.idler;
   std::printf("thread-count determinism (1 vs 4 threads): %s\n",
               deterministic ? "bitwise identical" : "MISMATCH");
@@ -469,7 +475,7 @@ int main(int argc, char** argv) {
   std::size_t batch_events = 0;
   auto t0s = Clock::now();
   const auto batch_car =
-      engine_car_matrix(specs10, duration_s, /*num_threads=*/0, &batch_events);
+      engine_car_matrix(specs10, duration_s, &batch_events);
   const double batch_ms = ms_since(t0s);
   std::vector<StreamRow> stream_rows;
   bool stream_identical = true;

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       bounded_rss ? "flat (bounded)" : "GREW > 10%");
 
   // User-count scaling: one shared run per row, timed at the default
-  // analysis setting, then re-run at 1 and 4 analysis threads for the
+  // detect thread setting, then re-run at 1 and 4 detect threads for the
   // bitwise determinism flag the CI gate watches.
   std::printf("\nduration per run: %.3f s, stream window %.4g s\n", duration_s,
               window_s);
@@ -148,10 +148,12 @@ int main(int argc, char** argv) {
     const auto report = net.run(duration_s);
     const double run_ms = ms_since(t0);
 
-    cfg.analysis_threads = 1;
+    const unsigned saved_request = detect::analysis_thread_request();
+    detect::set_analysis_threads(1);
     const auto r1 = core::QkdNetwork(exp, cfg).run(duration_s);
-    cfg.analysis_threads = 4;
+    detect::set_analysis_threads(4);
     const auto r4 = core::QkdNetwork(exp, cfg).run(duration_s);
+    detect::set_analysis_threads(saved_request);
 
     NetworkRow row;
     row.users = users;

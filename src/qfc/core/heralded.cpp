@@ -32,7 +32,6 @@ void HeraldedConfig::validate() const {
   if (!(coincidence_window_s > 0)) fail("coincidence_window_s", "must be > 0");
   if (!(side_window_spacing_s > coincidence_window_s))
     fail("side_window_spacing_s", "must exceed the coincidence window");
-  if (engine_threads < 0) fail("engine_threads", "must be >= 0");
 }
 
 io::Json MatrixCell::to_json() const {
@@ -96,7 +95,6 @@ detect::EngineResult HeraldedPhotonExperiment::simulate_events(
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = seed;
-  ec.num_threads = cfg_.engine_threads;
   return detect::EventEngine(ec).run(specs);
 }
 
@@ -162,7 +160,6 @@ CoherenceResult HeraldedPhotonExperiment::run_coherence_measurement(int k,
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed + 1000 + static_cast<std::uint64_t>(k);
-  ec.num_threads = cfg_.engine_threads;
   const detect::EngineResult events = detect::EventEngine(ec).run({channel_spec(k)});
 
   CoherenceResult res;

@@ -27,9 +27,6 @@ struct HeraldedConfig {
   double side_window_spacing_s = 100e-9;
   ChannelModel channels{};
   std::uint64_t seed = 20170327;     ///< DATE'17 conference date
-  /// Worker threads for the batched event engine (0 = hardware
-  /// concurrency). Results are bitwise independent of this value.
-  int engine_threads = 0;
 
   /// Throws std::invalid_argument with a path-qualified message
   /// ("HeraldedConfig.duration_s: must be > 0") for nonsensical values.

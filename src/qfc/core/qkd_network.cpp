@@ -8,7 +8,6 @@
 
 #include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
-#include "qfc/parallel/worker_pool.hpp"
 
 namespace qfc::core {
 
@@ -39,8 +38,6 @@ void QkdNetworkConfig::validate(int num_channel_pairs) const {
     throw std::invalid_argument("QkdNetworkConfig: stream window <= 0");
   if (histogram_bin_km <= 0)
     throw std::invalid_argument("QkdNetworkConfig: histogram bin <= 0");
-  if (analysis_threads < 0)
-    throw std::invalid_argument("QkdNetworkConfig: analysis threads < 0");
 
   for (std::size_t u = 0; u < users.size(); ++u) {
     const QkdUserSpec& user = users[u];
@@ -167,7 +164,6 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed;
-  ec.analysis_threads = cfg_.analysis_threads;
   detect::StreamConfig sc;
   sc.window_s = cfg_.stream_window_s;
 
@@ -175,7 +171,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::EventStreamer streamer(ec, sc, engine_specs());
   detect::StreamingCarAccumulator car(
       window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10, cfg_.analysis_threads);
+      /*num_side_windows=*/10);
 
   long long peak_rss = 0;
   detect::StreamWindow w;
@@ -195,40 +191,28 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   report.peak_rss_kb = peak_rss;
   const detect::CarMatrix matrix = car.finish();
 
-  // ---- per-user reports, sharded over the worker pool. Each user's
-  // report reads only their diagonal matrix cell and writes only their
-  // slot, so the result is bitwise identical at every pool size.
+  // ---- per-user reports: each reads only the user's diagonal matrix cell.
   report.users.assign(n, QkdUserReport{});
   {
     QFC_OBS_SPAN("network.reports", {{"users", n}});
-    const unsigned pool_threads = cfg_.analysis_threads > 0
-                                      ? static_cast<unsigned>(cfg_.analysis_threads)
-                                      : detect::analysis_threads();
-    parallel::WorkerPool pool(std::max(1u, pool_threads));
-    parallel::parallel_for_chunks(
-        pool, n, /*chunk_size=*/32,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t u = begin; u < end; ++u) {
-            const QkdUserSpec& user = cfg_.users[u];
-            QkdUserReport r;
-            r.user = u;
-            r.channel_pair = assigned_[u];
-            r.distance_km = user.link.distance_km;
-            r.car = matrix.at(u, u);
-            const double total = r.car.coincidences;
-            const double true_c =
-                std::max(0.0, r.car.coincidences - r.car.accidentals);
-            const double v_intrinsic =
-                intrinsic_visibility(*experiment_, assigned_[u], user.link);
-            r.visibility = total > 0 ? v_intrinsic * true_c / total : 0.0;
-            r.qber = qber_from_visibility(r.visibility);
-            r.sifted_rate_hz = user.endpoint.sifting_factor * total / duration_s;
-            r.secret_fraction = bbm92_secret_fraction(r.qber);
-            r.secret_key_rate_bps = r.sifted_rate_hz * r.secret_fraction;
-            r.key_positive = r.secret_key_rate_bps > 0;
-            report.users[u] = r;
-          }
-        });
+    for (std::size_t u = 0; u < n; ++u) {
+      const QkdUserSpec& user = cfg_.users[u];
+      QkdUserReport& r = report.users[u];
+      r.user = u;
+      r.channel_pair = assigned_[u];
+      r.distance_km = user.link.distance_km;
+      r.car = matrix.at(u, u);
+      const double total = r.car.coincidences;
+      const double true_c = std::max(0.0, r.car.coincidences - r.car.accidentals);
+      const double v_intrinsic =
+          intrinsic_visibility(*experiment_, assigned_[u], user.link);
+      r.visibility = total > 0 ? v_intrinsic * true_c / total : 0.0;
+      r.qber = qber_from_visibility(r.visibility);
+      r.sifted_rate_hz = user.endpoint.sifting_factor * total / duration_s;
+      r.secret_fraction = bbm92_secret_fraction(r.qber);
+      r.secret_key_rate_bps = r.sifted_rate_hz * r.secret_fraction;
+      r.key_positive = r.secret_key_rate_bps > 0;
+    }
   }
 
   // ---- aggregates, accumulated serially in user order (deterministic).

@@ -30,14 +30,12 @@ namespace qfc::detect::analysis_detail {
 /// only on the data, never on the worker count.
 constexpr std::size_t kAnalysisChunkEvents = 16384;
 
-/// Pool for one analysis call (event_engine.cpp). `num_threads` <= 0 uses
-/// (and lazily builds) the cached process-wide pool at the current
-/// set_analysis_threads request; a positive explicit count that matches the
-/// cached size reuses it, any other explicit count gets a transient pool.
-/// Callers hold the shared_ptr for the whole sweep (or, for streaming
-/// accumulators, for their whole lifetime), so a concurrent
+/// The detect pool (event_engine.cpp): the one cached process-wide pool,
+/// built lazily at the current set_analysis_threads request. Callers hold
+/// the shared_ptr for the whole call (the generator and the streaming
+/// accumulators for their whole lifetime), so a concurrent
 /// set_analysis_threads() swap cannot destroy a pool mid-run.
-std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads);
+std::shared_ptr<parallel::WorkerPool> analysis_pool();
 
 /// Time-ordered view over all channels of a table: one (time, channel)
 /// sequence merged across the per-channel columns.

@@ -97,10 +97,6 @@ inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duratio
 
 inline void validate_engine_config(const EngineConfig& cfg) {
   if (cfg.duration_s <= 0) throw std::invalid_argument("EngineConfig: duration <= 0");
-  if (cfg.num_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative thread count");
-  if (cfg.analysis_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative analysis thread count");
 }
 
 /// Every channel's click pipeline, resumable window by window.
@@ -110,8 +106,8 @@ inline void validate_engine_config(const EngineConfig& cfg) {
 /// all at construction; every stage owns a detail::Sampler on its own
 /// stream. A window only pauses those samplers, so any sequence of windows
 /// consumes the same per-stream draws as one window over the whole run, and
-/// worker threads claim whole channels, so no result depends on the thread
-/// count either.
+/// worker threads of the detect pool (held from construction) claim whole
+/// channels, so no result depends on the thread count either.
 ///
 /// Window boundaries: a window finalizes the clicks below its end C. The
 /// delay and jitter distributions have unbounded support, so arrivals are
@@ -145,7 +141,7 @@ class ClickGenerator {
 
   double duration_s_ = 0;
   std::vector<Channel> chans_;
-  std::unique_ptr<parallel::WorkerPool> pool_;
+  std::shared_ptr<parallel::WorkerPool> pool_;  ///< the detect pool
   bool started_ = false;
 };
 

@@ -228,13 +228,7 @@ ClickGenerator::ClickGenerator(const EngineConfig& cfg,
     ch.b.g_dark = r.dark_b;
     ch.b.g_pwdark = r.pwdark_b;
   }
-
-  unsigned num_threads = cfg.num_threads > 0
-                             ? static_cast<unsigned>(cfg.num_threads)
-                             : std::max(1u, std::thread::hardware_concurrency());
-  num_threads = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
-  pool_ = std::make_unique<parallel::WorkerPool>(num_threads);
+  pool_ = analysis_detail::analysis_pool();
 }
 
 ClickGenerator::~ClickGenerator() = default;
@@ -421,7 +415,7 @@ namespace {
 using analysis_detail::MergedView;
 using analysis_detail::merge_channels;
 
-// --------------------------------------------------- analysis worker pool
+// ----------------------------------------------------- detect worker pool
 
 std::mutex analysis_pool_mutex;
 std::shared_ptr<parallel::WorkerPool> analysis_pool_instance;
@@ -447,21 +441,11 @@ unsigned resolve_analysis_threads(unsigned requested) {
 
 namespace analysis_detail {
 
-// Declared in analysis_sweep.hpp; a positive explicit count that differs
-// from the cached pool's size gets a transient pool so bench-style 1/2/4
-// sweeps cannot evict the default pool.
-std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads) {
-  if (num_threads < 0)
-    throw std::invalid_argument("analysis sweep: negative thread count");
+std::shared_ptr<parallel::WorkerPool> analysis_pool() {
   std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  const unsigned want = num_threads > 0
-                            ? static_cast<unsigned>(num_threads)
-                            : resolve_analysis_threads(analysis_request());
-  if (analysis_pool_instance && analysis_pool_instance->size() == want)
-    return analysis_pool_instance;
-  if (num_threads > 0)
-    return std::make_shared<parallel::WorkerPool>(want);
-  analysis_pool_instance = std::make_shared<parallel::WorkerPool>(want);
+  if (!analysis_pool_instance)
+    analysis_pool_instance = std::make_shared<parallel::WorkerPool>(
+        resolve_analysis_threads(analysis_request()));
   return analysis_pool_instance;
 }
 
@@ -519,7 +503,7 @@ std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, doubl
 
 namespace {
 
-using analysis_detail::analysis_pool_for;
+using analysis_detail::analysis_pool;
 using analysis_detail::columns_of;
 using analysis_detail::sweep_resolved;
 
@@ -528,7 +512,7 @@ using analysis_detail::sweep_resolved;
 void set_analysis_threads(unsigned n) {
   std::lock_guard<std::mutex> lock(analysis_pool_mutex);
   analysis_request() = n;
-  analysis_pool_instance.reset();  // rebuilt lazily at the next sweep
+  analysis_pool_instance.reset();  // rebuilt lazily at next use
 }
 
 unsigned analysis_threads() {
@@ -543,8 +527,7 @@ unsigned analysis_thread_request() {
 
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
-                                                double bin_width_s, double range_s,
-                                                int num_threads) {
+                                                double bin_width_s, double range_s) {
   if (bin_width_s <= 0 || range_s <= 0)
     throw std::invalid_argument("correlate_all: non-positive bin width or range");
   if (signal.num_channels() != idler.num_channels())
@@ -557,7 +540,7 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
   // Diagonal pairs only: two-pointer passes directly over the contiguous
   // columns, sharded per signal-column chunk.
   std::vector<std::uint64_t> counts(signal.num_channels() * num_bins, 0);
-  const auto wp = analysis_pool_for(num_threads);
+  const auto wp = analysis_pool();
   const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
   sweep_resolved(columns_of(signal), range_s, kInf, wp.get(), num_bins,
                  counts.data(),
@@ -568,8 +551,7 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
 
 std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
                                                     const EventTable& idler,
-                                                    double window_s, double offset_s,
-                                                    int num_threads) {
+                                                    double window_s, double offset_s) {
   if (window_s <= 0)
     throw std::invalid_argument("coincidence_count_matrix: window <= 0");
 
@@ -587,7 +569,7 @@ std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
   // Merge only the idler side; the signal side is swept one contiguous
   // channel column at a time (each already sorted), which skips half the
   // merge work without changing any count.
-  const auto wp = analysis_pool_for(num_threads);
+  const auto wp = analysis_pool();
   const MergedView i = merge_channels(idler, wp.get());
   sweep_resolved(columns_of(signal), reach, kInf, wp.get(), ni, counts.data(),
                  analysis_detail::window_sweep(i.t, i.ch, half, offset_s, reach));
@@ -602,7 +584,7 @@ const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
 
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
-                     int num_side_windows, int num_threads) {
+                     int num_side_windows) {
   if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
   if (num_side_windows < 1)
     throw std::invalid_argument("car_matrix: need at least one side window");
@@ -628,33 +610,13 @@ CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
   // channel column, sharded across the analysis workers (see
   // coincidence_count_matrix).
   const std::size_t ni = result.num_idler;
-  const auto wp = analysis_pool_for(num_threads);
+  const auto wp = analysis_pool();
   const MergedView i = merge_channels(idler, wp.get());
   sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), ni * grid.stride,
                  counts.data(), analysis_detail::car_sweep(i.t, i.ch, grid));
 
   analysis_detail::finalize_car_cells(result, counts, grid);
   return result;
-}
-
-CarMatrix EventEngine::car_matrix(const EngineResult& events, double window_s,
-                                  double side_window_spacing_s,
-                                  int num_side_windows) const {
-  return detect::car_matrix(events.signal, events.idler, window_s,
-                            side_window_spacing_s, num_side_windows,
-                            cfg_.analysis_threads);
-}
-
-std::vector<CoincidenceHistogram> EventEngine::correlate_all(
-    const EngineResult& events, double bin_width_s, double range_s) const {
-  return detect::correlate_all(events.signal, events.idler, bin_width_s, range_s,
-                               cfg_.analysis_threads);
-}
-
-std::vector<std::uint64_t> EventEngine::coincidence_count_matrix(
-    const EngineResult& events, double window_s, double offset_s) const {
-  return detect::coincidence_count_matrix(events.signal, events.idler, window_s,
-                                          offset_s, cfg_.analysis_threads);
 }
 
 double mean_pair_rate_hz(const ChannelPairSpec& spec) {

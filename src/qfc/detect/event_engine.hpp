@@ -17,10 +17,10 @@
 /// starts, then derives eleven per-stage sub-streams from each channel
 /// generator in a fixed order (see channel_rng.hpp) — one per stochastic
 /// stage (emission, backgrounds, detection, darks) — and every stage
-/// consumes only its own stream. Worker threads (a
-/// qfc::parallel::WorkerPool) claim whole channels and write into
-/// per-channel slots, so the output is bitwise identical for every value
-/// of EngineConfig::num_threads at a fixed seed. run() is one window of the
+/// consumes only its own stream. Worker threads (the detect pool, see
+/// set_analysis_threads) claim whole channels and write into per-channel
+/// slots, so the output is bitwise identical at every thread count for a
+/// fixed seed. run() is one window of the
 /// engine's single windowed generator (engine_plan.hpp), the one the
 /// streaming engine (streaming.hpp) advances window by window, so a
 /// streamed run is bitwise identical to run() at every window size too. The
@@ -111,16 +111,6 @@ struct ChannelPairSpec {
 struct EngineConfig {
   double duration_s = 1.0;
   std::uint64_t seed = 1;
-  /// Worker threads for the per-channel passes; 0 = hardware concurrency.
-  /// Output is bitwise independent of this value (see file comment).
-  int num_threads = 0;
-  /// Worker threads for the merge-sweep analysis helpers below
-  /// (car_matrix/coincidence_count_matrix/correlate_all called through this
-  /// engine); 0 = the process-wide setting (QFC_ENGINE_ANALYSIS_THREADS,
-  /// else hardware concurrency). Output is bitwise independent of this
-  /// value: the sweeps shard signal columns into fixed-size chunks and merge
-  /// per-cell additive partial counts in chunk order.
-  int analysis_threads = 0;
 };
 
 /// Click tables for the two detector banks; channel c of each table is
@@ -141,26 +131,18 @@ class EventEngine {
   /// efficiency/jitter, dark counts, sort, dead time.
   EngineResult run(const std::vector<ChannelPairSpec>& channels) const;
 
-  /// Batched analysis bound to this engine's config: forwards to the free
-  /// functions below with EngineConfig::analysis_threads.
-  struct CarMatrix car_matrix(const EngineResult& events, double window_s,
-                              double side_window_spacing_s,
-                              int num_side_windows = 10) const;
-  std::vector<CoincidenceHistogram> correlate_all(const EngineResult& events,
-                                                  double bin_width_s,
-                                                  double range_s) const;
-  std::vector<std::uint64_t> coincidence_count_matrix(const EngineResult& events,
-                                                      double window_s,
-                                                      double offset_s = 0.0) const;
-
  private:
   EngineConfig cfg_;
 };
 
-/// Process-wide worker-thread request for the merge-sweep analysis kernels
-/// (0 = auto: one per hardware thread; initial value settable via the
+/// Process-wide worker-thread request for the detect pool: the per-channel
+/// generation of EventEngine::run and EventStreamer, the merge-sweep
+/// analysis kernels below and the streaming accumulators (0 = auto: one per
+/// hardware thread; initial value settable via the
 /// QFC_ENGINE_ANALYSIS_THREADS environment variable, read once at first
-/// use). Changing the count never changes results — only wall-clock.
+/// use). Changing the count never changes results — only wall-clock. Run
+/// from inside a threaded pool task (a sweep worker, say), every detect
+/// round runs inline on that task's thread (the WorkerPool nesting rule).
 void set_analysis_threads(unsigned n);
 
 /// Resolved analysis worker count (the request, or hardware concurrency
@@ -172,13 +154,11 @@ unsigned analysis_threads();
 unsigned analysis_thread_request();
 
 /// Δt histograms for the diagonal (signal k, idler k) channel pairs, all
-/// built in one merge-sweep over the two tables. `num_threads` selects the
-/// sharded-sweep worker count (0 = the process-wide analysis setting);
-/// counts are bitwise identical at every thread count.
+/// built in one merge-sweep over the two tables, sharded on the detect
+/// pool; counts are bitwise identical at every thread count.
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
-                                                double bin_width_s, double range_s,
-                                                int num_threads = 0);
+                                                double bin_width_s, double range_s);
 
 /// Windowed coincidence counts (|t_s - t_i - offset| <= window/2) for every
 /// (signal channel, idler channel) combination in a single merge-sweep.
@@ -187,8 +167,7 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
 std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
                                                     const EventTable& idler,
                                                     double window_s,
-                                                    double offset_s = 0.0,
-                                                    int num_threads = 0);
+                                                    double offset_s = 0.0);
 
 struct CarMatrix {
   std::size_t num_signal = 0;
@@ -202,11 +181,11 @@ struct CarMatrix {
 /// merge-sweep: peak window plus `num_side_windows` accidental windows at
 /// multiples of `side_window_spacing_s` (alternating sides), with the same
 /// counting and error semantics as measure_car. The sweep shards the signal
-/// columns across `num_threads` workers (0 = the process-wide analysis
-/// setting); every cell is bitwise identical at every thread count.
+/// columns across the detect pool; every cell is bitwise identical at every
+/// thread count.
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
-                     int num_side_windows = 10, int num_threads = 0);
+                     int num_side_windows = 10);
 
 /// Mean generated pair rate of a spec over the run, whatever the emission
 /// mode: Cw reads pair_rate_hz directly, Pulsed is mean_pairs_per_pulse x

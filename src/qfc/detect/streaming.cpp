@@ -198,8 +198,7 @@ struct StreamingCarAccumulator::Impl {
   std::vector<std::uint64_t> counts;
   bool finished = false;
 
-  Impl(double window_s, double side_window_spacing_s, int num_side_windows,
-       int num_threads) {
+  Impl(double window_s, double side_window_spacing_s, int num_side_windows) {
     if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
     if (num_side_windows < 1)
       throw std::invalid_argument("car_matrix: need at least one side window");
@@ -207,7 +206,7 @@ struct StreamingCarAccumulator::Impl {
       throw std::invalid_argument("car_matrix: side windows overlap the peak");
     grid = analysis_detail::make_car_grid(window_s, side_window_spacing_s,
                                           num_side_windows);
-    pool = analysis_detail::analysis_pool_for(num_threads);
+    pool = analysis_detail::analysis_pool();
   }
 
   void push(const StreamWindow& w) {
@@ -243,10 +242,9 @@ struct StreamingCarAccumulator::Impl {
 
 StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
                                                  double side_window_spacing_s,
-                                                 int num_side_windows,
-                                                 int num_threads)
+                                                 int num_side_windows)
     : impl_(std::make_unique<Impl>(window_s, side_window_spacing_s,
-                                   num_side_windows, num_threads)) {}
+                                   num_side_windows)) {}
 StreamingCarAccumulator::~StreamingCarAccumulator() = default;
 StreamingCarAccumulator::StreamingCarAccumulator(
     StreamingCarAccumulator&&) noexcept = default;
@@ -265,12 +263,12 @@ struct StreamingCountMatrixAccumulator::Impl {
   std::vector<std::uint64_t> counts;
   bool finished = false;
 
-  Impl(double window_s, double offset, int num_threads) : offset_s(offset) {
+  Impl(double window_s, double offset) : offset_s(offset) {
     if (window_s <= 0)
       throw std::invalid_argument("coincidence_count_matrix: window <= 0");
     half = window_s / 2.0;
     reach = std::abs(offset_s) + window_s;
-    pool = analysis_detail::analysis_pool_for(num_threads);
+    pool = analysis_detail::analysis_pool();
   }
 
   void push(const StreamWindow& w) {
@@ -300,9 +298,8 @@ struct StreamingCountMatrixAccumulator::Impl {
 };
 
 StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
-                                                                 double offset_s,
-                                                                 int num_threads)
-    : impl_(std::make_unique<Impl>(window_s, offset_s, num_threads)) {}
+                                                                 double offset_s)
+    : impl_(std::make_unique<Impl>(window_s, offset_s)) {}
 StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
 StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
     StreamingCountMatrixAccumulator&&) noexcept = default;
@@ -328,13 +325,12 @@ struct StreamingCorrelatorAccumulator::Impl {
   std::vector<std::uint64_t> counts;         ///< nch x num_bins
   bool finished = false;
 
-  Impl(double bin_width, double range, int num_threads)
-      : bin_width_s(bin_width), range_s(range) {
+  Impl(double bin_width, double range) : bin_width_s(bin_width), range_s(range) {
     if (bin_width_s <= 0 || range_s <= 0)
       throw std::invalid_argument("correlate_all: non-positive bin width or range");
     half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
     num_bins = 2 * half_bins + 1;
-    pool = analysis_detail::analysis_pool_for(num_threads);
+    pool = analysis_detail::analysis_pool();
   }
 
   void push(const StreamWindow& w) {
@@ -394,9 +390,8 @@ struct StreamingCorrelatorAccumulator::Impl {
 };
 
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_s,
-                                                               double range_s,
-                                                               int num_threads)
-    : impl_(std::make_unique<Impl>(bin_width_s, range_s, num_threads)) {}
+                                                               double range_s)
+    : impl_(std::make_unique<Impl>(bin_width_s, range_s)) {}
 StreamingCorrelatorAccumulator::~StreamingCorrelatorAccumulator() = default;
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(
     StreamingCorrelatorAccumulator&&) noexcept = default;

@@ -15,7 +15,7 @@
 /// accumulator is the batch analysis sweep resolved window by window
 /// (analysis_sweep.hpp). Consequently a streamed run is **bitwise
 /// identical** to EventEngine::run + the batch analysis helpers at every
-/// window size, and at every generation / analysis thread count.
+/// window size, and at every thread count.
 ///
 /// Window boundary handling: the delay and jitter distributions have
 /// unbounded support, so a photon born inside window k can click inside
@@ -103,12 +103,13 @@ class EventStreamer {
 
 /// Online car_matrix: push every window, then finish() returns exactly
 /// what `car_matrix(signal, idler, ...)` would return for the whole run —
-/// bitwise, at every window size and every `num_threads` (0 = the
-/// process-wide analysis setting, as in the batch helpers).
+/// bitwise, at every window size and every thread count. Like the batch
+/// helpers, every accumulator shards its resolves on the detect pool (see
+/// set_analysis_threads), held from construction.
 class StreamingCarAccumulator {
  public:
   StreamingCarAccumulator(double window_s, double side_window_spacing_s,
-                          int num_side_windows = 10, int num_threads = 0);
+                          int num_side_windows = 10);
   ~StreamingCarAccumulator();
   StreamingCarAccumulator(StreamingCarAccumulator&&) noexcept;
   StreamingCarAccumulator& operator=(StreamingCarAccumulator&&) noexcept;
@@ -124,8 +125,7 @@ class StreamingCarAccumulator {
 /// Online coincidence_count_matrix (row-major signal x idler counts).
 class StreamingCountMatrixAccumulator {
  public:
-  explicit StreamingCountMatrixAccumulator(double window_s, double offset_s = 0,
-                                           int num_threads = 0);
+  explicit StreamingCountMatrixAccumulator(double window_s, double offset_s = 0);
   ~StreamingCountMatrixAccumulator();
   StreamingCountMatrixAccumulator(StreamingCountMatrixAccumulator&&) noexcept;
   StreamingCountMatrixAccumulator& operator=(
@@ -142,8 +142,7 @@ class StreamingCountMatrixAccumulator {
 /// Online correlate_all (diagonal signal-k x idler-k Δt histograms).
 class StreamingCorrelatorAccumulator {
  public:
-  StreamingCorrelatorAccumulator(double bin_width_s, double range_s,
-                                 int num_threads = 0);
+  StreamingCorrelatorAccumulator(double bin_width_s, double range_s);
   ~StreamingCorrelatorAccumulator();
   StreamingCorrelatorAccumulator(StreamingCorrelatorAccumulator&&) noexcept;
   StreamingCorrelatorAccumulator& operator=(

@@ -131,19 +131,6 @@ bool simd_enabled();
 /// The raw on/off request, ignoring CPU support (for save/restore).
 bool simd_request();
 
-/// RAII: forces the Blocked backend's kernels on this thread to run their
-/// parallel rounds inline instead of dispatching to the worker pool (the
-/// arithmetic is unchanged, so results are bitwise identical). Batch
-/// drivers that fan out across problems on the shared pool enter this
-/// scope inside each task — nested pool use would deadlock. Nestable.
-class SerialKernelScope {
- public:
-  SerialKernelScope();
-  ~SerialKernelScope();
-  SerialKernelScope(const SerialKernelScope&) = delete;
-  SerialKernelScope& operator=(const SerialKernelScope&) = delete;
-};
-
 /// Validated batch entry points, routed through the active backend like
 /// hermitian_eig()/svd()/operator*. Entry i of the result corresponds to
 /// input i; dimensions may differ per entry. Results are bitwise identical
@@ -185,11 +172,12 @@ std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_co
 std::uint64_t kron_flops(std::size_t out_elems, bool is_complex);
 
 /// Run fn(i) for every i in [0, count) with one task per index on the
-/// Blocked backend's worker pool, each task inside a SerialKernelScope.
-/// The fixed index-to-task assignment plus disjoint per-index outputs make
-/// this bitwise deterministic at any worker count. Used by the Blocked
-/// batch kernels and by higher-level batch drivers (tomo, qudit, sfwm).
-/// Nested calls (from inside a task) degrade to a plain serial loop.
+/// Blocked backend's worker pool. The fixed index-to-task assignment plus
+/// disjoint per-index outputs make this bitwise deterministic at any worker
+/// count. Used by the Blocked batch kernels and by higher-level batch
+/// drivers (tomo, qudit, sfwm). Per-matrix kernels inside a task, and calls
+/// made from inside any threaded pool task, run inline (the WorkerPool
+/// nesting rule).
 void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
 
 /// Convergence threshold on off_diag_norm2 for an n x n Hermitian matrix of

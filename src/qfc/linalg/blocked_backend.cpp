@@ -95,22 +95,13 @@ std::shared_ptr<WorkerPool> pool() {
   return pool_instance;
 }
 
-// ----------------------------------------------------------- serial scope
-
-// Depth of SerialKernelScope nesting on this thread. Non-zero means "do not
-// touch the pool": we are inside a pool task (WorkerPool::run from a task
-// would deadlock), so kernels run their rounds inline. The arithmetic is
-// identical either way, so results are bitwise unaffected.
-thread_local int serial_scope_depth = 0;
-
-bool serial_mode() { return serial_scope_depth > 0; }
-
 /// True when a kernel entered from here may dispatch rounds to the pool:
-/// not inside a SerialKernelScope and more than one worker resolved. On a
-/// 1-core host this skips pool dispatch (and its task-queue overhead)
-/// entirely, which is most of the small-n crossover fix.
+/// more than one worker resolved. On a 1-core host this skips pool dispatch
+/// (and its task-queue overhead) entirely, which is most of the small-n
+/// crossover fix. Rounds a kernel dispatches from inside a threaded pool
+/// task run inline (the WorkerPool nesting rule), with the same chunk
+/// boundaries, so results are bitwise unaffected.
 bool use_pool() {
-  if (serial_mode()) return false;
   std::lock_guard<std::mutex> lock(pool_mutex);
   return resolve_threads(thread_request()) > 1;
 }
@@ -754,9 +745,6 @@ bool simd_enabled() { return simd_active(); }
 
 bool simd_request() { return simd_request_slot().load(std::memory_order_relaxed); }
 
-SerialKernelScope::SerialKernelScope() { ++serial_scope_depth; }
-SerialKernelScope::~SerialKernelScope() { --serial_scope_depth; }
-
 namespace detail {
 
 void blocked_gemm(const RMat& a, const RMat& b, RMat& c) {
@@ -1046,22 +1034,8 @@ void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
 // ----------------------------------------------------------- batch drivers
 
 void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (count == 1) {
-    fn(0);  // single problem: let the per-matrix kernel use the pool itself
-    return;
-  }
-  if (!use_pool()) {
-    // Inside a pool task (or single-threaded): same index order, inline.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  const auto wp = pool();
-  wp->run(count, [&](std::size_t i) {
-    // Per-matrix kernels inside a task must not re-enter the pool.
-    SerialKernelScope scope;
-    fn(i);
-  });
+  // A single problem is a 1-task round: its kernel keeps the pool itself.
+  pool()->run(count, fn);
 }
 
 std::vector<EigResult> blocked_hermitian_eig_batch(const std::vector<CMat>& as,

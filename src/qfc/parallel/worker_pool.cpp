@@ -27,10 +27,15 @@ obs::Counter& busy_counter(unsigned worker_index) {
   return obs::counter("parallel.worker_busy_ns." + std::to_string(worker_index));
 }
 
+// Set while this thread runs the tasks of a threaded round, as a worker or
+// as the participating caller. Any run() it makes meanwhile, on any pool,
+// runs inline: the enclosing task already owns this thread's core.
+thread_local bool in_threaded_task = false;
+
 }  // namespace
 
-WorkerPool::WorkerPool(unsigned num_threads) {
-  const unsigned spawned = num_threads > 1 ? num_threads - 1 : 0;
+WorkerPool::WorkerPool(unsigned threads) {
+  const unsigned spawned = threads > 1 ? threads - 1 : 0;
   workers_.reserve(spawned);
   for (unsigned t = 0; t < spawned; ++t)
     workers_.emplace_back([this, t] { worker_loop(t + 1); });
@@ -46,6 +51,7 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::claim_tasks() {
+  in_threaded_task = true;
   for (std::size_t i = next_task_.fetch_add(1, std::memory_order_relaxed);
        i < num_tasks_; i = next_task_.fetch_add(1, std::memory_order_relaxed)) {
     try {
@@ -54,6 +60,7 @@ void WorkerPool::claim_tasks() {
       if (!failed_.exchange(true)) error_ = std::current_exception();
     }
   }
+  in_threaded_task = false;
 }
 
 void WorkerPool::worker_loop(unsigned worker_index) {
@@ -82,6 +89,12 @@ void WorkerPool::worker_loop(unsigned worker_index) {
 
 void WorkerPool::run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn) {
   if (num_tasks == 0) return;
+  if (in_threaded_task) {
+    // Nested round: no span, counter or busy time — all of it already
+    // belongs to the enclosing task.
+    for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
+    return;
+  }
   if (workers_.empty() || num_tasks == 1) {
     if (obs::enabled()) {
       QFC_OBS_SPAN("pool.run", {{"tasks", num_tasks}, {"inline", 1}});

@@ -3,11 +3,12 @@
 /// \file worker_pool.hpp
 /// Persistent worker pool shared by every threaded subsystem: the Blocked
 /// linalg backend uses it for its parallel rotation rounds and GEMM row
-/// chunks, detect::EventEngine for its per-channel generation fan-out and
-/// the sharded merge-sweep analysis kernels. A pool is created once and
-/// reused across thousands of small fork/join rounds, so dispatch must be
-/// cheap: one mutex/condvar handshake per round, tasks claimed via an
-/// atomic counter.
+/// chunks, detect for its per-channel generation fan-out and the sharded
+/// merge-sweep analysis kernels, qfc::sweep for its scenario fan-out. The
+/// pool also owns the one thread policy for nested layers (see run()). A
+/// pool is created once and reused across thousands of small fork/join
+/// rounds, so dispatch must be cheap: one mutex/condvar handshake per
+/// round, tasks claimed via an atomic counter.
 ///
 /// Determinism contract: the pool itself guarantees nothing about ordering —
 /// callers must split work into tasks that write disjoint data and read only
@@ -22,8 +23,9 @@
 /// participation, per-thread busy nanoseconds under
 /// `parallel.worker_busy_ns.<index>` (index 0 = the calling thread), a
 /// `parallel.queue_depth` gauge, and `parallel.rounds`/`parallel.tasks`
-/// counters. All of it sits behind one relaxed atomic branch when disabled
-/// and touches no task data, so the determinism contract is unaffected.
+/// counters. A nested round (see run()) records none of it. All of it sits
+/// behind one relaxed atomic branch when disabled and touches no task data,
+/// so the determinism contract is unaffected.
 
 #include <atomic>
 #include <condition_variable>
@@ -39,9 +41,9 @@ namespace qfc::parallel {
 
 class WorkerPool {
  public:
-  /// `num_threads` counts the calling thread too: a pool of size 1 runs
+  /// `threads` counts the calling thread too: a pool of size 1 runs
   /// everything inline and spawns nothing.
-  explicit WorkerPool(unsigned num_threads);
+  explicit WorkerPool(unsigned threads);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -53,7 +55,13 @@ class WorkerPool {
   /// thread participates. Blocks until all tasks finished. The first
   /// exception thrown by any task is rethrown here after the round drains.
   /// Concurrent run() calls from different threads serialize on an internal
-  /// mutex (correct, just not parallel); run() from inside a task deadlocks.
+  /// mutex (correct, just not parallel).
+  ///
+  /// Nesting rule: a thread running a task of a threaded round (more than
+  /// one task on a pool of size > 1) runs every run() it makes, on this or
+  /// any other pool, inline in index order, recording no span, counter or
+  /// busy time. The outermost threaded round owns the cores; a 1-task round
+  /// or a size-1 pool leaves nested rounds free to fan out.
   void run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
  private:

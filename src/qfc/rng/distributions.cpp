@@ -62,8 +62,11 @@ std::uint64_t poisson_ptrs(Xoshiro256& g, double mu) {
     const double k = std::floor((2.0 * a / us + b) * u + mu + 0.43);
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0 || (us < 0.013 && v > us)) continue;
+    // lgamma_r, not std::lgamma: lgamma also writes the global signgam,
+    // a data race when sweep workers sample concurrently. Same value.
+    int sign = 0;
     if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * std::log(mu) - mu - std::lgamma(k + 1.0)) {
+        k * std::log(mu) - mu - ::lgamma_r(k + 1.0, &sign)) {
       return static_cast<std::uint64_t>(k);
     }
   }

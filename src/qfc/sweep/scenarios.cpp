@@ -167,7 +167,6 @@ ScenarioRegistry::ScenarioRegistry() {
         cfg.side_window_spacing_s =
             num(p, "side_window_spacing_s", cfg.side_window_spacing_s);
         cfg.seed = seed_param(p, cfg.seed);
-        cfg.engine_threads = 1;  // sweep workers own the parallelism
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
         auto exp = comb.heralded(cfg);
         io::Json channels = io::Json::make_array();
@@ -314,7 +313,6 @@ ScenarioRegistry::ScenarioRegistry() {
         cfg.stream_window_s = num(p, "stream_window_s", cfg.stream_window_s);
         cfg.histogram_bin_km = num(p, "histogram_bin_km", cfg.histogram_bin_km);
         cfg.seed = seed_param(p, cfg.seed);
-        cfg.analysis_threads = 1;  // sweep workers own the parallelism
         const core::QkdNetwork network(exp, cfg);
         return network.run(num(p, "duration_s", 1.0)).to_json();
       });

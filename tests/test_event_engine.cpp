@@ -17,9 +17,13 @@
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/timebin/arrival_histogram.hpp"
 
+#include "analysis_threads_guard.hpp"
+
 namespace {
 
 using namespace qfc;
+using test::AnalysisThreadsGuard;
+using test::at_analysis_threads;
 using detect::ChannelPairSpec;
 using detect::EngineConfig;
 using detect::EngineResult;
@@ -71,7 +75,6 @@ TEST(EventEngine, MatchesHandRolledPipelineBitwise) {
   EngineConfig ec;
   ec.duration_s = 2.0;
   ec.seed = 99;
-  ec.num_threads = 1;
   const EngineResult res = EventEngine(ec).run(specs);
 
   rng::Xoshiro256 master(99);
@@ -100,12 +103,10 @@ TEST(EventEngine, BitwiseInvariantAcrossThreadCounts) {
   EngineConfig ec;
   ec.duration_s = 1.0;
   ec.seed = 7;
-  ec.num_threads = 1;
-  const EngineResult r1 = EventEngine(ec).run(specs);
-  ec.num_threads = 3;
-  const EngineResult r3 = EventEngine(ec).run(specs);
-  ec.num_threads = 8;
-  const EngineResult r8 = EventEngine(ec).run(specs);
+  const auto run = [&] { return EventEngine(ec).run(specs); };
+  const EngineResult r1 = at_analysis_threads(1, run);
+  const EngineResult r3 = at_analysis_threads(3, run);
+  const EngineResult r8 = at_analysis_threads(8, run);
   EXPECT_EQ(r1.signal, r3.signal);
   EXPECT_EQ(r1.idler, r3.idler);
   EXPECT_EQ(r1.signal, r8.signal);
@@ -191,8 +192,7 @@ TEST(EventEngine, BackgroundInjectionRaisesSingles) {
 }
 
 TEST(EventEngine, ValidationErrors) {
-  EXPECT_THROW(EventEngine(EngineConfig{0.0, 1, 0}), std::invalid_argument);
-  EXPECT_THROW(EventEngine(EngineConfig{1.0, 1, -2}), std::invalid_argument);
+  EXPECT_THROW(EventEngine(EngineConfig{0.0, 1}), std::invalid_argument);
   ChannelPairSpec bad;
   bad.pair_rate_hz = 1000;
   bad.linewidth_hz = 0;  // rejected by the generation kernel
@@ -264,12 +264,10 @@ TEST(EmissionModes, PulsedBitwiseDeterministicAcrossThreadCounts) {
   EngineConfig ec;
   ec.duration_s = 0.05;
   ec.seed = 17;
-  ec.num_threads = 1;
-  const EngineResult r1 = EventEngine(ec).run(specs);
-  ec.num_threads = 2;
-  const EngineResult r2 = EventEngine(ec).run(specs);
-  ec.num_threads = 4;
-  const EngineResult r4 = EventEngine(ec).run(specs);
+  const auto run = [&] { return EventEngine(ec).run(specs); };
+  const EngineResult r1 = at_analysis_threads(1, run);
+  const EngineResult r2 = at_analysis_threads(2, run);
+  const EngineResult r4 = at_analysis_threads(4, run);
   EXPECT_EQ(r1.signal, r2.signal);
   EXPECT_EQ(r1.idler, r2.idler);
   EXPECT_EQ(r1.signal, r4.signal);
@@ -370,12 +368,10 @@ TEST(EmissionModes, PiecewiseBitwiseDeterministicAcrossThreadCounts) {
   EngineConfig ec;
   ec.duration_s = 1.0;
   ec.seed = 41;
-  ec.num_threads = 1;
-  const EngineResult r1 = EventEngine(ec).run(specs);
-  ec.num_threads = 2;
-  const EngineResult r2 = EventEngine(ec).run(specs);
-  ec.num_threads = 4;
-  const EngineResult r4 = EventEngine(ec).run(specs);
+  const auto run = [&] { return EventEngine(ec).run(specs); };
+  const EngineResult r1 = at_analysis_threads(1, run);
+  const EngineResult r2 = at_analysis_threads(2, run);
+  const EngineResult r4 = at_analysis_threads(4, run);
   EXPECT_EQ(r1.signal, r2.signal);
   EXPECT_EQ(r1.idler, r2.idler);
   EXPECT_EQ(r1.signal, r4.signal);
@@ -475,14 +471,6 @@ TEST(BatchedAnalysis, CountMatrixMatchesLegacy) {
 
 // ------------------------------------------------- sharded analysis threading
 
-/// Restores the process-wide analysis thread request on scope exit so tests
-/// cannot leak configuration into each other (or clobber an operator's
-/// QFC_ENGINE_ANALYSIS_THREADS setting).
-struct AnalysisThreadsGuard {
-  unsigned request = detect::analysis_thread_request();
-  ~AnalysisThreadsGuard() { detect::set_analysis_threads(request); }
-};
-
 void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatrix& b,
                                const char* what) {
   ASSERT_EQ(a.num_signal, b.num_signal) << what;
@@ -517,22 +505,23 @@ EngineResult sharded_analysis_table() {
 TEST(ShardedAnalysis, CarMatrixBitwiseInvariantAcrossThreadCounts) {
   const EngineResult res = sharded_analysis_table();
   const double window = 8e-9, spacing = 100e-9;
-  const auto one = detect::car_matrix(res.signal, res.idler, window, spacing, 10,
-                                      /*num_threads=*/1);
-  for (const int threads : {2, 4}) {
-    const auto many =
-        detect::car_matrix(res.signal, res.idler, window, spacing, 10, threads);
-    expect_car_matrices_equal(one, many,
+  const auto sweep = [&] {
+    return detect::car_matrix(res.signal, res.idler, window, spacing, 10);
+  };
+  const auto one = at_analysis_threads(1, sweep);
+  for (const unsigned threads : {2u, 4u})
+    expect_car_matrices_equal(one, at_analysis_threads(threads, sweep),
                               threads == 2 ? "2 threads" : "4 threads");
-  }
 }
 
 TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
   const EngineResult res = sharded_analysis_table();
-  const auto one = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9,
-                                         /*num_threads=*/1);
-  for (const int threads : {2, 4}) {
-    const auto many = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, threads);
+  const auto sweep = [&] {
+    return detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9);
+  };
+  const auto one = at_analysis_threads(1, sweep);
+  for (const unsigned threads : {2u, 4u}) {
+    const auto many = at_analysis_threads(threads, sweep);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t c = 0; c < one.size(); ++c)
       EXPECT_EQ(one[c].counts, many[c].counts) << "channel " << c << ", " << threads
@@ -542,12 +531,12 @@ TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
 
 TEST(ShardedAnalysis, CountMatrixBitwiseInvariantAcrossThreadCounts) {
   const EngineResult res = sharded_analysis_table();
-  const auto one =
-      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9, 1);
-  for (const int threads : {2, 4})
-    EXPECT_EQ(one, detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9,
-                                                    threads))
-        << threads << " threads";
+  const auto sweep = [&] {
+    return detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9);
+  };
+  const auto one = at_analysis_threads(1, sweep);
+  for (const unsigned threads : {2u, 4u})
+    EXPECT_EQ(one, at_analysis_threads(threads, sweep)) << threads << " threads";
 }
 
 TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
@@ -557,39 +546,19 @@ TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
   EXPECT_EQ(detect::analysis_threads(), 3u);
 
   const EngineResult res = sharded_analysis_table();
-  const auto pinned = detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, 1);
-  // num_threads = 0 routes through the process-wide request (the façades'
-  // zero-call-site-change path) and must produce the same cells.
-  const auto via_default = detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9);
-  expect_car_matrices_equal(pinned, via_default, "process-wide default");
+  const auto sweep = [&] {
+    return detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9);
+  };
+  // The process-wide request sizes every call; a 3-thread sweep must
+  // produce the 1-thread cells.
+  const auto at_three = sweep();
+  expect_car_matrices_equal(at_analysis_threads(1, sweep), at_three,
+                            "process-wide setting");
+  EXPECT_EQ(detect::analysis_thread_request(), 3u);  // restored by the helper
 
   detect::set_analysis_threads(0);
   EXPECT_EQ(detect::analysis_thread_request(), 0u);
   EXPECT_GE(detect::analysis_threads(), 1u);  // auto resolves to hardware
-}
-
-TEST(ShardedAnalysis, EngineBoundHelpersHonorConfig) {
-  EngineConfig ec;
-  ec.duration_s = 4.0;
-  ec.seed = 77;
-  ec.analysis_threads = 2;
-  const EventEngine engine(ec);
-  const EngineResult res = engine.run(test_specs(3));
-
-  expect_car_matrices_equal(
-      detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, 1),
-      engine.car_matrix(res, 8e-9, 100e-9), "engine helper");
-  const auto hists = engine.correlate_all(res, 1e-9, 50e-9);
-  const auto hists1 = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, 1);
-  ASSERT_EQ(hists.size(), hists1.size());
-  for (std::size_t c = 0; c < hists.size(); ++c)
-    EXPECT_EQ(hists[c].counts, hists1[c].counts);
-  EXPECT_EQ(engine.coincidence_count_matrix(res, 8e-9),
-            detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, 1));
-
-  EngineConfig bad;
-  bad.analysis_threads = -1;
-  EXPECT_THROW(EventEngine{bad}, std::invalid_argument);
 }
 
 TEST(BatchedAnalysis, ValidationErrors) {
@@ -602,10 +571,6 @@ TEST(BatchedAnalysis, ValidationErrors) {
   EXPECT_THROW(detect::correlate_all(empty, two, 1e-9, 1e-8), std::invalid_argument);
   EXPECT_THROW(detect::coincidence_count_matrix(empty, empty, -1e-9),
                std::invalid_argument);
-  const EventTable one = EventTable::from_columns({{1.0}});
-  EXPECT_THROW(detect::car_matrix(one, one, 1e-8, 1e-7, 10, /*num_threads=*/-1),
-               std::invalid_argument);
-  EXPECT_THROW(detect::correlate_all(one, one, 1e-9, 1e-8, -2), std::invalid_argument);
 }
 
 // ------------------------------------------------- engine-backed core checks

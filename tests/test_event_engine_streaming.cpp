@@ -15,9 +15,12 @@
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/streaming.hpp"
 
+#include "analysis_threads_guard.hpp"
+
 namespace {
 
 using namespace qfc;
+using test::at_analysis_threads;
 using detect::ChannelPairSpec;
 using detect::EngineConfig;
 using detect::EngineResult;
@@ -91,11 +94,10 @@ std::vector<ChannelPairSpec> specs_for(detect::EmissionMode mode) {
   return specs;
 }
 
-EngineConfig engine_config(int num_threads = 2) {
+EngineConfig engine_config() {
   EngineConfig ec;
   ec.duration_s = kDuration;
   ec.seed = 20170327;
-  ec.num_threads = num_threads;
   return ec;
 }
 
@@ -161,27 +163,29 @@ class StreamingParity
 TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
   const auto specs = specs_for(GetParam());
   const EngineConfig ec = engine_config();
+  // The batch reference runs single-threaded: every streamed run below is
+  // compared against it at 1, 2 and 4 detect threads.
+  test::AnalysisThreadsGuard guard;
+  detect::set_analysis_threads(1);
   const EngineResult batch = EventEngine(ec).run(specs);
   const auto batch_car =
-      detect::car_matrix(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10, 1);
+      detect::car_matrix(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10);
   const auto batch_counts = detect::coincidence_count_matrix(
-      batch.signal, batch.idler, kCarWindow, kCountOffset, 1);
+      batch.signal, batch.idler, kCarWindow, kCountOffset);
   const auto batch_hists =
-      detect::correlate_all(batch.signal, batch.idler, kCorrBin, kCorrRange, 1);
+      detect::correlate_all(batch.signal, batch.idler, kCorrBin, kCorrRange);
 
   for (double window_s : parity_windows()) {
     SCOPED_TRACE("window_s = " + std::to_string(window_s));
     StreamConfig sc;
     sc.window_s = window_s;
-    for (int analysis_threads : {1, 2, 4}) {
-      SCOPED_TRACE("analysis_threads = " + std::to_string(analysis_threads));
+    for (unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("detect threads = " + std::to_string(threads));
+      detect::set_analysis_threads(threads);
       EventStreamer streamer(ec, sc, specs);
-      detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10,
-                                          analysis_threads);
-      detect::StreamingCountMatrixAccumulator cm(kCarWindow, kCountOffset,
-                                                 analysis_threads);
-      detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange,
-                                                  analysis_threads);
+      detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
+      detect::StreamingCountMatrixAccumulator cm(kCarWindow, kCountOffset);
+      detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange);
       std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
       StreamWindow w;
       while (streamer.next(w)) {
@@ -217,10 +221,12 @@ TEST(EventStreamer, BitwiseInvariantAcrossGenerationThreadCounts) {
   const auto specs = specs_for(detect::EmissionMode::Cw);
   StreamConfig sc;
   sc.window_s = 0.05;
-  EventStreamer s1(engine_config(1), sc, specs);
-  EventStreamer s3(engine_config(3), sc, specs);
-  const EngineResult r1 = drain(s1);
-  const EngineResult r3 = drain(s3);
+  const auto stream = [&] {
+    EventStreamer s(engine_config(), sc, specs);
+    return drain(s);
+  };
+  const EngineResult r1 = at_analysis_threads(1, stream);
+  const EngineResult r3 = at_analysis_threads(3, stream);
   EXPECT_EQ(r1.signal, r3.signal);
   EXPECT_EQ(r1.idler, r3.idler);
 }
@@ -283,8 +289,8 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   StreamConfig sc;
   sc.window_s = 0.05;
   sc.slack_override_s = 1e-12;
-  EventStreamer s(engine_config(1), sc, specs);
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  EventStreamer s(engine_config(), sc, specs);
+  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
   StreamWindow w;
   std::size_t total = 0;
   while (s.next(w)) {
@@ -361,16 +367,16 @@ TEST(StreamingFacades, QkdStreamCheckWindowSizeInvariant) {
 }
 
 TEST(StreamingAccumulators, RejectMisuse) {
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
   (void)car.finish();
-  detect::StreamingCarAccumulator car2(kCarWindow, kCarSpacing, 10, 1);
+  detect::StreamingCarAccumulator car2(kCarWindow, kCarSpacing, 10);
   (void)car2.finish();
   EXPECT_THROW((void)car2.finish(), std::logic_error);
-  EXPECT_THROW(detect::StreamingCarAccumulator(0, kCarSpacing, 10, 1),
+  EXPECT_THROW(detect::StreamingCarAccumulator(0, kCarSpacing, 10),
                std::invalid_argument);
-  EXPECT_THROW(detect::StreamingCarAccumulator(kCarWindow, kCarWindow / 2, 10, 1),
+  EXPECT_THROW(detect::StreamingCarAccumulator(kCarWindow, kCarWindow / 2, 10),
                std::invalid_argument);
-  EXPECT_THROW(detect::StreamingCorrelatorAccumulator(0, 1e-9, 1),
+  EXPECT_THROW(detect::StreamingCorrelatorAccumulator(0, 1e-9),
                std::invalid_argument);
   EXPECT_THROW(detect::StreamingAllanAccumulator(0, 1), std::invalid_argument);
 }

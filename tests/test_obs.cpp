@@ -21,6 +21,8 @@
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
 
+#include "analysis_threads_guard.hpp"
+
 namespace {
 
 using namespace qfc;
@@ -413,12 +415,14 @@ TEST(Obs, EnablingObsNeverChangesEngineResults) {
   detect::EngineConfig ec;
   ec.duration_s = 0.05;
   ec.seed = 1234;
-  ec.num_threads = 2;
+  // A genuinely threaded detect pool, so obs-on rounds really fan out.
+  test::AnalysisThreadsGuard threads_guard;
+  detect::set_analysis_threads(2);
 
   const auto run_all = [&] {
     const detect::EngineResult res = detect::EventEngine(ec).run(specs);
-    auto cells = detect::car_matrix(res.signal, res.idler, 10e-9, 100e-9, 6, 2);
-    auto hists = detect::correlate_all(res.signal, res.idler, 1e-9, 40e-9, 2);
+    auto cells = detect::car_matrix(res.signal, res.idler, 10e-9, 100e-9, 6);
+    auto hists = detect::correlate_all(res.signal, res.idler, 1e-9, 40e-9);
     return std::make_tuple(res, std::move(cells), std::move(hists));
   };
 
@@ -473,7 +477,8 @@ TEST(Obs, BatchRunIsOneWindowWithoutStreamingSpans) {
   detect::EngineConfig ec;
   ec.duration_s = 0.08;
   ec.seed = 77;
-  ec.num_threads = 2;
+  test::AnalysisThreadsGuard threads_guard;
+  detect::set_analysis_threads(2);
 
   const char* const names[] = {"engine.events_generated", "engine.clicks_kept",
                                "detect.darks_injected",   "engine.emission.cw",

@@ -1,18 +1,24 @@
 // Tests for the shared qfc::parallel module: WorkerPool task execution,
-// exception propagation, round reuse, and the deterministic
-// parallel_for_chunks boundaries both threaded subsystems (linalg Blocked
-// backend, detect::EventEngine) lean on.
+// exception propagation, round reuse, the nesting rule (rounds nested in a
+// threaded round run inline), and the deterministic parallel_for_chunks
+// boundaries the threaded subsystems (linalg Blocked backend, detect, sweep)
+// lean on. ctest runs this binary under a TIMEOUT: a broken nesting rule
+// deadlocks instead of failing.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
 
 namespace {
@@ -109,6 +115,113 @@ TEST(ParallelForChunks, ValidatesArguments) {
   parallel_for_chunks(pool, 0, 8, [](std::size_t, std::size_t, std::size_t) {
     FAIL() << "no chunk should run";
   });
+}
+
+// ------------------------------------------------------------ nesting rule
+
+/// Per outer task: the thread it ran on and the (thread, index) of every
+/// nested task it issued, in execution order.
+struct NestedLog {
+  std::thread::id outer;
+  std::vector<std::pair<std::thread::id, std::size_t>> inner;
+};
+
+void expect_inline_in_order(const std::vector<NestedLog>& logs, std::size_t inner_tasks) {
+  for (std::size_t o = 0; o < logs.size(); ++o) {
+    ASSERT_EQ(logs[o].inner.size(), inner_tasks) << "outer task " << o;
+    for (std::size_t i = 0; i < inner_tasks; ++i) {
+      EXPECT_EQ(logs[o].inner[i].first, logs[o].outer) << "outer " << o << " inner " << i;
+      EXPECT_EQ(logs[o].inner[i].second, i) << "outer " << o;
+    }
+  }
+}
+
+TEST(WorkerPoolNesting, NestedRoundOnTheSamePoolRunsInlineInIndexOrder) {
+  WorkerPool pool(4);
+  std::vector<NestedLog> logs(6);
+  pool.run(logs.size(), [&](std::size_t o) {
+    logs[o].outer = std::this_thread::get_id();
+    pool.run(5, [&](std::size_t i) {
+      logs[o].inner.emplace_back(std::this_thread::get_id(), i);
+    });
+  });
+  expect_inline_in_order(logs, 5);
+}
+
+TEST(WorkerPoolNesting, NestedRoundOnAnotherPoolRunsInline) {
+  WorkerPool outer(3), inner(3);
+  std::vector<NestedLog> logs(3);
+  outer.run(logs.size(), [&](std::size_t o) {
+    logs[o].outer = std::this_thread::get_id();
+    parallel_for_chunks(inner, 4, 1, [&](std::size_t i, std::size_t, std::size_t) {
+      logs[o].inner.emplace_back(std::this_thread::get_id(), i);
+    });
+  });
+  expect_inline_in_order(logs, 4);
+}
+
+TEST(WorkerPoolNesting, NestedExceptionReachesTheOuterCaller) {
+  WorkerPool pool(3);
+  EXPECT_THROW(pool.run(3,
+                        [&](std::size_t) {
+                          pool.run(2, [](std::size_t i) {
+                            if (i == 1) throw std::runtime_error("nested task failed");
+                          });
+                        }),
+               std::runtime_error);
+  std::atomic<int> ok{0};
+  pool.run(4, [&](std::size_t) { ++ok; });
+  EXPECT_EQ(ok.load(), 4);
+}
+
+/// A two-task round on a fresh 2-thread pool whose tasks each wait for the
+/// other: it completes only if the round really fans out.
+void run_round_needing_two_threads() {
+  WorkerPool inner(2);
+  std::latch both_running(2);
+  inner.run(2, [&](std::size_t) { both_running.arrive_and_wait(); });
+}
+
+TEST(WorkerPoolNesting, OneTaskRoundLeavesNestedRoundsFreeToFanOut) {
+  WorkerPool pool(4);
+  pool.run(1, [](std::size_t) { run_round_needing_two_threads(); });
+}
+
+TEST(WorkerPoolNesting, SizeOnePoolLeavesNestedRoundsFreeToFanOut) {
+  WorkerPool pool(1);
+  pool.run(3, [](std::size_t) { run_round_needing_two_threads(); });
+}
+
+std::size_t count_occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size()))
+    ++n;
+  return n;
+}
+
+TEST(WorkerPoolNesting, NestedRoundRecordsNoObsEvents) {
+  namespace obs = qfc::obs;
+  const std::uint32_t saved_mode = obs::detail::g_mode.load(std::memory_order_relaxed);
+  obs::disable();
+  obs::reset();
+  obs::enable();
+  {
+    WorkerPool pool(2), other(2);
+    pool.run(2, [&](std::size_t) {
+      pool.run(3, [](std::size_t) {});
+      other.run(4, [](std::size_t) {});
+    });
+  }
+  const std::uint64_t rounds = obs::counter("parallel.rounds").value();
+  const std::uint64_t tasks = obs::counter("parallel.tasks").value();
+  const std::string trace = obs::trace_json();
+  obs::reset();
+  obs::detail::g_mode.store(saved_mode, std::memory_order_relaxed);
+
+  EXPECT_EQ(rounds, 1u);
+  EXPECT_EQ(tasks, 2u);
+  EXPECT_EQ(count_occurrences(trace, "\"pool.run\""), 1u) << trace;
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/qkd_network.hpp"
 
+#include "analysis_threads_guard.hpp"
+
 namespace {
 
 using namespace qfc;
@@ -144,11 +146,11 @@ TEST_F(QkdNetworkFixture, TwoHundredFiftySixUsersDeterministicAcrossThreads) {
   for (auto& user : cfg.users) user.crosstalk_leakage = 0.01;
 
   core::QkdNetworkReport reports[3];
-  const int threads[3] = {1, 2, 4};
+  const unsigned threads[3] = {1, 2, 4};
   for (int i = 0; i < 3; ++i) {
-    cfg.analysis_threads = threads[i];
-    const core::QkdNetwork net(exp_, cfg);
-    reports[i] = net.run(/*duration_s=*/0.01);
+    reports[i] = test::at_analysis_threads(threads[i], [&] {
+      return core::QkdNetwork(exp_, cfg).run(/*duration_s=*/0.01);
+    });
     ASSERT_EQ(reports[i].users.size(), 256u);
   }
   expect_reports_bitwise_equal(reports[0], reports[1]);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/sweep/scenario.hpp"
 #include "qfc/sweep/sweep.hpp"
+
+#include "analysis_threads_guard.hpp"
 
 namespace {
 
@@ -286,11 +289,30 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
 using core::PumpConfiguration;
 using core::QuantumFrequencyComb;
 
+/// Runs the adapter as a sweep worker does: two copies of the instance on
+/// two workers, so each runs in a task of a threaded round and every nested
+/// detect / linalg round inside it runs inline. Both copies must agree.
 Json run_adapter(const char* name, const std::string& params_text) {
-  const auto* scenario = sweep::ScenarioRegistry::instance().find(name);
-  EXPECT_NE(scenario, nullptr) << name;
-  const Json params = Json::parse(params_text);
-  return scenario->run(JsonView(params));
+  EXPECT_NE(sweep::ScenarioRegistry::instance().find(name), nullptr) << name;
+  const sweep::ScenarioInstance instance{name, Json::parse(params_text), "$"};
+  sweep::SweepPlan plan;
+  plan.instances = {instance, instance};
+  const auto report = sweep::run_sweep(plan, /*workers=*/2);
+  const auto& entries = report.json.find("results")->array_items();
+  for (const Json& entry : entries)
+    if (!entry.find("ok")->bool_value()) {
+      ADD_FAILURE() << name << ": " << entry.find("error")->string_value();
+      return Json();
+    }
+  EXPECT_EQ(*entries[0].find("result"), *entries[1].find("result")) << name;
+  return *entries[0].find("result");
+}
+
+/// The direct façade call the adapter is compared against, on a threaded
+/// detect pool.
+template <class Fn>
+auto threaded(Fn&& fn) {
+  return test::at_analysis_threads(4, std::forward<Fn>(fn));
 }
 
 TEST(ScenarioParity, HeraldedChannelTable) {
@@ -301,12 +323,12 @@ TEST(ScenarioParity, HeraldedChannelTable) {
   cfg.duration_s = 0.05;
   cfg.num_channel_pairs = 2;
   cfg.seed = 7;
-  cfg.engine_threads = 1;
   auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
   auto exp = comb.heralded(cfg);
   Json direct = Json::make_object();
   Json channels = Json::make_array();
-  for (const auto& r : exp.run_channel_table()) channels.push_back(r.to_json());
+  for (const auto& r : threaded([&] { return exp.run_channel_table(); }))
+    channels.push_back(r.to_json());
   direct.set("channels", std::move(channels));
   EXPECT_EQ(via_sweep, direct);
 }
@@ -384,9 +406,8 @@ TEST(ScenarioParity, QkdNetwork) {
   auto exp = comb.timebin_default();
   auto cfg = core::QkdNetworkConfig::uniform(4, 20.0);
   cfg.stream_window_s = 0.025;
-  cfg.analysis_threads = 1;
   const core::QkdNetwork network(exp, cfg);
-  EXPECT_EQ(via_sweep, network.run(0.05).to_json());
+  EXPECT_EQ(via_sweep, threaded([&] { return network.run(0.05); }).to_json());
 }
 
 TEST(ScenarioParity, QuditSource) {
