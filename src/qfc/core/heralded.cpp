@@ -122,15 +122,15 @@ std::vector<MatrixCell> HeraldedPhotonExperiment::run_coincidence_matrix() {
 
 std::vector<ChannelResult> HeraldedPhotonExperiment::run_channel_table() {
   const detect::EngineResult events = simulate_events(cfg_.duration_s, cfg_.seed + 2);
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, cfg_.coincidence_window_s,
-                         cfg_.side_window_spacing_s);
+  const std::vector<detect::CarResult> cars =
+      detect::car_diagonal(events.signal, events.idler, cfg_.coincidence_window_s,
+                           cfg_.side_window_spacing_s);
 
   std::vector<ChannelResult> out;
   const int n = cfg_.num_channel_pairs;
   for (int k = 1; k <= n; ++k) {
     const auto c = static_cast<std::size_t>(k - 1);
-    const detect::CarResult car = matrix.at(c, c);
+    const detect::CarResult& car = cars[c];
 
     ChannelResult r;
     r.k = k;

@@ -211,7 +211,7 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
       /*num_side_windows=*/10);
   detect::StreamWindow w;
   while (streamer.next(w)) car.push(w);
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
   std::vector<StreamCheck> out;
   out.reserve(specs.size());
@@ -219,7 +219,7 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
     const auto c = static_cast<std::size_t>(k - 1);
     StreamCheck r;
     r.k = k;
-    r.car = matrix.cells.empty() ? detect::CarResult{} : matrix.at(c, c);
+    r.car = cars[c];
     r.measured_coincidence_rate_hz =
         std::max(0.0, r.car.coincidences - r.car.accidentals) / duration_s;
     r.measured_accidental_rate_hz = r.car.accidentals / duration_s;

@@ -189,9 +189,9 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
     }
   }
   report.peak_rss_kb = peak_rss;
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
-  // ---- per-user reports: each reads only the user's diagonal matrix cell.
+  // ---- per-user reports: user u reads the CAR of its own channel pair u.
   report.users.assign(n, QkdUserReport{});
   {
     QFC_OBS_SPAN("network.reports", {{"users", n}});
@@ -201,7 +201,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
       r.user = u;
       r.channel_pair = assigned_[u];
       r.distance_km = user.link.distance_km;
-      r.car = matrix.at(u, u);
+      r.car = cars[u];
       const double total = r.car.coincidences;
       const double true_c = std::max(0.0, r.car.coincidences - r.car.accidentals);
       const double v_intrinsic =

@@ -11,10 +11,10 @@
 /// tests/test_qkd_network.cpp):
 ///
 ///  - **Bounded memory**: the network streams the whole user set through
-///    detect::EventStreamer + an online CAR accumulator, so peak resident
-///    memory is set by QkdNetworkConfig::stream_window_s — never by
-///    user count × duration (bench_qkd_network gates this in CI via its
-///    `bounded_rss` flag).
+///    detect::EventStreamer + an online per-channel CAR accumulator, so
+///    peak resident memory is set by QkdNetworkConfig::stream_window_s —
+///    never by user count × duration (bench_qkd_network gates this in CI
+///    via its `bounded_rss` flag).
 ///  - **Bitwise thread-count determinism**: generation forks one RNG per
 ///    user-channel in user order; analysis shards merge in fixed chunk
 ///    order; per-user reports are assembled serially in user order. Every
@@ -81,7 +81,7 @@ struct QkdUserReport {
   std::size_t user = 0;
   int channel_pair = 0;    ///< resolved assignment (never 0)
   double distance_km = 0;
-  detect::CarResult car;   ///< this user's diagonal CAR-matrix cell
+  detect::CarResult car;   ///< CAR of this user's own channel pair
   double visibility = 0;   ///< intrinsic visibility × measured true/total
   double qber = 0;
   double sifted_rate_hz = 0;
@@ -148,9 +148,9 @@ class QkdNetwork {
   std::vector<detect::ChannelPairSpec> engine_specs() const;
 
   /// One shared streaming run over all users: windowed generation, online
-  /// CAR accumulation, then per-user reports sharded over qfc::parallel
-  /// and network aggregates. See the file comment for the determinism and
-  /// bounded-memory contracts.
+  /// per-channel CAR accumulation (each user's channel against itself
+  /// only), then per-user reports and network aggregates. See the file
+  /// comment for the determinism and bounded-memory contracts.
   QkdNetworkReport run(double duration_s) const;
 
  private:

@@ -145,16 +145,8 @@ std::vector<detect::CarResult> TimebinExperiment::run_car_check(double duration_
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed + 4242;
   const detect::EngineResult events = detect::EventEngine(ec).run(specs);
-  const detect::CarMatrix matrix = detect::car_matrix(
-      events.signal, events.idler, window_s, /*side_window_spacing_s=*/100e-9);
-
-  std::vector<detect::CarResult> out;
-  out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k) {
-    const auto c = static_cast<std::size_t>(k - 1);
-    out.push_back(matrix.at(c, c));
-  }
-  return out;
+  return detect::car_diagonal(events.signal, events.idler, window_s,
+                              /*side_window_spacing_s=*/100e-9);
 }
 
 detect::ChannelPairSpec TimebinExperiment::pulsed_spec(int k, double dark_rate_hz) const {
@@ -187,8 +179,8 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   // pulsed source the only physical accidental estimate is a neighboring
   // pulse slot, not an arbitrary CW offset.
   const double period = 1.0 / cfg_.pump.train.repetition_rate_hz;
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, window_s, period);
+  const std::vector<detect::CarResult> cars =
+      detect::car_diagonal(events.signal, events.idler, window_s, period);
 
   // Δt histogram fine enough to resolve the early/late peak triplet.
   const double dt_bins = cfg_.pump.bin_separation_s;
@@ -201,7 +193,7 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   for (int k = 1; k <= cfg_.num_channel_pairs; ++k) {
     const auto c = static_cast<std::size_t>(k - 1);
     PulsedClickCheck check;
-    check.car = matrix.at(c, c);
+    check.car = cars[c];
     check.histogram = hists[c];
     check.peaks =
         timebin::fold_timebin_peaks(hists[c], dt_bins, /*half_window_s=*/dt_bins / 4.0);

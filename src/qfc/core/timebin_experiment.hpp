@@ -89,7 +89,7 @@ class TimebinExperiment {
   /// Engine-backed Monte-Carlo cross-check of the coincidence statistics
   /// behind the analytic fringe model: CW-equivalent click streams for all
   /// channel pairs generated in one batched pass, with each channel's CAR
-  /// measured in a single merge-sweep.
+  /// measured against its own idler channel (detect::car_diagonal).
   std::vector<detect::CarResult> run_car_check(double duration_s,
                                                double dark_rate_hz = 1000.0,
                                                double window_s = 4e-9) const;

@@ -82,14 +82,14 @@ Type2CarResult Type2Experiment::measure_at(double total_power_w,
   ec.duration_s = cfg_.duration_s;
   ec.seed = cfg_.seed + seed_offset;
   const detect::EngineResult events = detect::EventEngine(ec).run({spec});
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, cfg_.coincidence_window_s,
-                         cfg_.side_window_spacing_s);
+  const std::vector<detect::CarResult> cars =
+      detect::car_diagonal(events.signal, events.idler, cfg_.coincidence_window_s,
+                           cfg_.side_window_spacing_s);
 
   Type2CarResult r;
   r.pump_power_w = total_power_w;
   r.pair_rate_on_chip_hz = src.pair_rate_hz(1);
-  r.car = matrix.at(0, 0);
+  r.car = cars.front();
   r.coincidence_rate_hz =
       std::max(0.0, r.car.coincidences - r.car.accidentals) / cfg_.duration_s;
   return r;

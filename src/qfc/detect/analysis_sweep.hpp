@@ -4,7 +4,12 @@
 /// Internal: the one analysis sweep behind the batched analysis helpers
 /// (event_engine.cpp) and the streaming accumulators (streaming.cpp) — the
 /// merged idler view, the CAR window grid, the sharded sweep over signal
-/// columns and the per-analysis chunk sweeps. A batch helper is the sweep
+/// columns and the per-analysis chunk sweeps. Cross-channel analyses
+/// (car_sweep, window_sweep) sweep each signal column against the merged
+/// idler view; diagonal ones (car_pair_sweep, corr_sweep) sweep signal
+/// column c against idler column c only. Both CAR sweeps decide window
+/// membership with the one car_window helper, so every diagonal cell of
+/// car_matrix equals car_diagonal bitwise. A batch helper is the sweep
 /// with every event resolved at once (frontier = +∞), an accumulator the
 /// same sweep resolved window by window, so "streaming is bitwise identical
 /// to batch" needs no second copy of any count. Not installed API; include
@@ -15,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "qfc/detect/event_engine.hpp"
@@ -133,11 +140,39 @@ inline CarGrid make_car_grid(double window_s, double side_window_spacing_s,
   return g;
 }
 
+/// make_car_grid after the parameter checks shared by car_matrix,
+/// car_diagonal and StreamingCarAccumulator; `who` names the caller in the
+/// std::invalid_argument message.
+inline CarGrid checked_car_grid(const char* who, double window_s,
+                                double side_window_spacing_s, int num_side_windows) {
+  const std::string name(who);
+  if (window_s <= 0) throw std::invalid_argument(name + ": window <= 0");
+  if (num_side_windows < 1)
+    throw std::invalid_argument(name + ": need at least one side window");
+  if (side_window_spacing_s <= window_s)
+    throw std::invalid_argument(name + ": side windows overlap the peak");
+  return make_car_grid(window_s, side_window_spacing_s, num_side_windows);
+}
+
+/// The CAR window of grid `g` that idler event tb falls in for signal event
+/// ta, or -1 for none. The rounding to the nearest grid offset only
+/// *selects* the window — the membership test repeats measure_car's
+/// center-bounds arithmetic exactly. The one copy of that arithmetic, shared
+/// by car_sweep and car_pair_sweep.
+inline int car_window(const CarGrid& g, double ta, double tb) {
+  const double dt = ta - tb;
+  const auto m = static_cast<std::int64_t>(std::llround(dt / g.spacing));
+  if (m < -g.mmax || m > g.mmax) return -1;
+  const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
+  if (w < 0) return -1;
+  const double center = ta - static_cast<double>(m) * g.spacing;
+  if (tb < center - g.half || tb > center + g.half) return -1;
+  return w;
+}
+
 /// CAR sweep against a merged idler sequence (it, ich): per signal event,
 /// advance the monotone `lo` pointer, then bin every idler event within
-/// reach into its candidate window. The rounding to the nearest grid offset
-/// only *selects* the window — the membership test repeats measure_car's
-/// center-bounds arithmetic exactly.
+/// reach into its car_window. A row is ni x stride counts.
 inline ChunkSweep car_sweep(const std::vector<double>& it,
                             const std::vector<std::uint32_t>& ich, const CarGrid& g) {
   return [&it, &ich, &g](std::size_t, const double* a0, const double* a1,
@@ -147,15 +182,27 @@ inline ChunkSweep car_sweep(const std::vector<double>& it,
       const double ta = *a;
       while (lo < it.size() && it[lo] < ta - g.reach) ++lo;
       for (std::size_t j = lo; j < it.size() && it[j] <= ta + g.reach; ++j) {
-        const double tb = it[j];
-        const double dt = ta - tb;
-        const auto m = static_cast<std::int64_t>(std::llround(dt / g.spacing));
-        if (m < -g.mmax || m > g.mmax) continue;
-        const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
-        if (w < 0) continue;
-        const double center = ta - static_cast<double>(m) * g.spacing;
-        if (tb < center - g.half || tb > center + g.half) continue;
-        ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
+        const int w = car_window(g, ta, it[j]);
+        if (w >= 0) ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
+      }
+    }
+  };
+}
+
+/// Per-pair CAR sweep: signal channel c against idler column idler[c] only,
+/// the same reach bounds and car_window as car_sweep, so each count equals
+/// car_sweep's (c, c) cell bitwise. A row is stride counts.
+inline ChunkSweep car_pair_sweep(const std::vector<Column>& idler, const CarGrid& g) {
+  return [&idler, &g](std::size_t c, const double* a0, const double* a1,
+                      std::uint64_t* row) {
+    const double* ie = idler[c].end;
+    const double* lo = std::lower_bound(idler[c].begin, ie, *a0 - g.reach);
+    for (const double* a = a0; a != a1; ++a) {
+      const double ta = *a;
+      while (lo != ie && *lo < ta - g.reach) ++lo;
+      for (const double* j = lo; j != ie && *j <= ta + g.reach; ++j) {
+        const int w = car_window(g, ta, *j);
+        if (w >= 0) ++row[static_cast<std::size_t>(w)];
       }
     }
   };
@@ -218,13 +265,15 @@ inline std::vector<CoincidenceHistogram> split_histograms(
   return hists;
 }
 
-/// Turn the per-window integer counts into CarResults — the same counting
-/// and error semantics as measure_car.
-inline void finalize_car_cells(CarMatrix& result,
+/// Turn the per-window integer counts (cell i at i * stride) into
+/// CarResults — the same counting and error semantics as measure_car.
+/// Shared by car_matrix (cells row-major signal x idler) and car_diagonal
+/// (one cell per channel).
+inline void finalize_car_cells(std::vector<CarResult>& cells,
                                const std::vector<std::uint64_t>& counts,
                                const CarGrid& g) {
-  for (std::size_t cell = 0; cell < result.cells.size(); ++cell) {
-    CarResult& r = result.cells[cell];
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    CarResult& r = cells[cell];
     r.coincidences = static_cast<double>(counts[cell * g.stride]);
     double acc_total = 0;
     for (int w = 1; w <= g.K; ++w)

@@ -585,11 +585,11 @@ const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
                      int num_side_windows) {
-  if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
-  if (num_side_windows < 1)
-    throw std::invalid_argument("car_matrix: need at least one side window");
-  if (side_window_spacing_s <= window_s)
-    throw std::invalid_argument("car_matrix: side windows overlap the peak");
+  // Window grid + per-event counting live in analysis_sweep.hpp, shared
+  // with car_diagonal and the streaming accumulator so every path counts
+  // with one copy of the arithmetic.
+  const analysis_detail::CarGrid grid = analysis_detail::checked_car_grid(
+      "car_matrix", window_s, side_window_spacing_s, num_side_windows);
 
   CarMatrix result;
   result.num_signal = signal.num_channels();
@@ -597,13 +597,6 @@ CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
   result.cells.assign(result.num_signal * result.num_idler, CarResult{});
   if (result.cells.empty()) return result;
   QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
-
-  // Window grid + per-event counting live in analysis_sweep.hpp, shared
-  // with the streaming accumulators so both paths count with one copy of
-  // the arithmetic.
-  const analysis_detail::CarGrid grid =
-      analysis_detail::make_car_grid(window_s, side_window_spacing_s,
-                                     num_side_windows);
   std::vector<std::uint64_t> counts(result.cells.size() * grid.stride, 0);
 
   // Merge only the idler side; sweep the signal side per contiguous
@@ -615,8 +608,32 @@ CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
   sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), ni * grid.stride,
                  counts.data(), analysis_detail::car_sweep(i.t, i.ch, grid));
 
-  analysis_detail::finalize_car_cells(result, counts, grid);
+  analysis_detail::finalize_car_cells(result.cells, counts, grid);
   return result;
+}
+
+std::vector<CarResult> car_diagonal(const EventTable& signal, const EventTable& idler,
+                                    double window_s, double side_window_spacing_s,
+                                    int num_side_windows) {
+  const analysis_detail::CarGrid grid = analysis_detail::checked_car_grid(
+      "car_diagonal", window_s, side_window_spacing_s, num_side_windows);
+  if (signal.num_channels() != idler.num_channels())
+    throw std::invalid_argument("car_diagonal: channel count mismatch");
+
+  std::vector<CarResult> cells(signal.num_channels(), CarResult{});
+  if (cells.empty()) return cells;
+  QFC_OBS_SPAN("engine.car_diagonal", {{"events", signal.size() + idler.size()}});
+  std::vector<std::uint64_t> counts(cells.size() * grid.stride, 0);
+
+  // Diagonal pairs only: no merged idler view, each signal column sweeps
+  // its own idler column (see correlate_all).
+  const auto wp = analysis_pool();
+  const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
+  sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), grid.stride,
+                 counts.data(), analysis_detail::car_pair_sweep(idler_cols, grid));
+
+  analysis_detail::finalize_car_cells(cells, counts, grid);
+  return cells;
 }
 
 double mean_pair_rate_hz(const ChannelPairSpec& spec) {

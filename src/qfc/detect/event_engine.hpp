@@ -26,8 +26,9 @@
 /// streamed run is bitwise identical to run() at every window size too. The
 /// batched analysis sweeps below carry the same contract: signal columns
 /// are sharded into fixed-size chunks whose per-cell integer counts merge
-/// additively in chunk order, so car_matrix/coincidence_count_matrix/
-/// correlate_all are bitwise identical at every analysis thread count.
+/// additively in chunk order, so car_matrix/car_diagonal/
+/// coincidence_count_matrix/correlate_all are bitwise identical at every
+/// analysis thread count.
 
 #include <cstdint>
 #include <vector>
@@ -186,6 +187,16 @@ struct CarMatrix {
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
                      int num_side_windows = 10);
+
+/// The diagonal of car_matrix: cell c is signal channel c against idler
+/// channel c only — the per-pair CAR of a comb whose channel c is one
+/// signal/idler pair. Each CarResult is bitwise identical to
+/// car_matrix(...).at(c, c), at a cost that does not grow with the number
+/// of other channels. Validates like car_matrix and also throws
+/// std::invalid_argument when the two tables' channel counts differ.
+std::vector<CarResult> car_diagonal(const EventTable& signal, const EventTable& idler,
+                                    double window_s, double side_window_spacing_s,
+                                    int num_side_windows = 10);
 
 /// Mean generated pair rate of a spec over the run, whatever the emission
 /// mode: Cw reads pair_rate_hz directly, Pulsed is mean_pairs_per_pulse x

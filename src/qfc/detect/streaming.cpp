@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
@@ -129,8 +130,8 @@ void append_sorted(std::vector<double>& dst, const double* begin,
                        dst.begin() + static_cast<std::ptrdiff_t>(old), dst.end());
 }
 
-/// Rolling state shared by the two merged-idler accumulators (CAR and
-/// count-matrix): the trimmed merged idler view and the per-signal-channel
+/// Rolling state of the count-matrix accumulator, the one cross-channel
+/// accumulator: the trimmed merged idler view and the per-signal-channel
 /// unresolved event buffers.
 struct MergedRoll {
   std::size_t ns = kNoChannels, ni = kNoChannels;
@@ -187,6 +188,61 @@ struct MergedRoll {
   }
 };
 
+/// Rolling state shared by the two diagonal accumulators (CAR and
+/// correlator): per channel c, the trimmed idler column and the unresolved
+/// signal events, swept pairwise (signal c against idler c only).
+struct ColumnRoll {
+  std::size_t nch = kNoChannels;
+  std::vector<std::vector<double>> idler;    ///< rolling per-channel columns
+  std::vector<std::vector<double>> pending;  ///< unresolved signal events
+
+  /// `who` names the batch helper in the channel-count-mismatch message.
+  void append_window(const StreamWindow& w, const char* who) {
+    const std::size_t wns = w.events.signal.num_channels();
+    if (wns != w.events.idler.num_channels())
+      throw std::invalid_argument(std::string(who) + ": channel count mismatch");
+    if (nch == kNoChannels) {
+      nch = wns;
+      idler.resize(nch);
+      pending.resize(nch);
+    } else if (wns != nch) {
+      throw std::invalid_argument(
+          "streaming accumulator: window channel count changed mid-run");
+    }
+    for (std::size_t c = 0; c < nch; ++c) {
+      append_sorted(idler[c], w.events.idler.channel_begin(c),
+                    w.events.idler.channel_end(c));
+      append_sorted(pending[c], w.events.signal.channel_begin(c),
+                    w.events.signal.channel_end(c));
+    }
+  }
+
+  /// Count every signal event whose full reach lies behind `frontier`
+  /// (analysis_detail::sweep_resolved) with `sweep`, a pairwise sweep over
+  /// columns_of(idler), then drop it and trim each idler column below
+  /// everything its channel's future events can reach.
+  void resolve(double frontier, double reach, std::size_t row_size,
+               parallel::WorkerPool* pool, std::vector<std::uint64_t>& counts,
+               const analysis_detail::ChunkSweep& sweep) {
+    if (nch == kNoChannels) return;
+    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
+        columns_of(pending), reach, frontier, pool, row_size, counts.data(), sweep);
+    for (std::size_t c = 0; c < nch; ++c) {
+      auto& p = pending[c];
+      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
+      const double unresolved = p.empty() ? frontier : p.front();
+      auto& col = idler[c];
+      if (std::isfinite(unresolved)) {
+        const auto cut =
+            std::lower_bound(col.begin(), col.end(), unresolved - reach) - col.begin();
+        col.erase(col.begin(), col.begin() + cut);
+      } else {
+        col.clear();
+      }
+    }
+  }
+};
+
 }  // namespace
 
 // ------------------------------------------------ StreamingCarAccumulator
@@ -194,49 +250,40 @@ struct MergedRoll {
 struct StreamingCarAccumulator::Impl {
   analysis_detail::CarGrid grid;
   std::shared_ptr<parallel::WorkerPool> pool;
-  MergedRoll roll;
-  std::vector<std::uint64_t> counts;
+  ColumnRoll roll;
+  std::vector<std::uint64_t> counts;  ///< nch x stride
   bool finished = false;
 
-  Impl(double window_s, double side_window_spacing_s, int num_side_windows) {
-    if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
-    if (num_side_windows < 1)
-      throw std::invalid_argument("car_matrix: need at least one side window");
-    if (side_window_spacing_s <= window_s)
-      throw std::invalid_argument("car_matrix: side windows overlap the peak");
-    grid = analysis_detail::make_car_grid(window_s, side_window_spacing_s,
-                                          num_side_windows);
-    pool = analysis_detail::analysis_pool();
-  }
+  Impl(double window_s, double side_window_spacing_s, int num_side_windows)
+      : grid(analysis_detail::checked_car_grid("car_diagonal", window_s,
+                                               side_window_spacing_s,
+                                               num_side_windows)),
+        pool(analysis_detail::analysis_pool()) {}
 
   void push(const StreamWindow& w) {
     if (finished)
       throw std::logic_error("StreamingCarAccumulator: push after finish");
     QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
-    roll.append_window(w, pool.get());
-    if (counts.empty() && roll.ns != kNoChannels)
-      counts.assign(roll.ns * roll.ni * grid.stride, 0);
+    roll.append_window(w, "car_diagonal");
+    if (counts.empty()) counts.assign(roll.nch * grid.stride, 0);
     resolve(w.t_end_s);
   }
 
   void resolve(double frontier) {
-    roll.resolve(frontier, grid.reach, roll.ni * grid.stride, pool.get(), counts,
-                 analysis_detail::car_sweep(roll.it, roll.ich, grid));
+    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
+    roll.resolve(frontier, grid.reach, grid.stride, pool.get(), counts,
+                 analysis_detail::car_pair_sweep(idler_cols, grid));
   }
 
-  CarMatrix finish() {
+  std::vector<CarResult> finish() {
     if (finished)
       throw std::logic_error("StreamingCarAccumulator: finish called twice");
     finished = true;
-    CarMatrix result;
-    if (roll.ns == kNoChannels) return result;
+    if (roll.nch == kNoChannels) return {};
     resolve(kInf);
-    result.num_signal = roll.ns;
-    result.num_idler = roll.ni;
-    result.cells.assign(roll.ns * roll.ni, CarResult{});
-    if (!result.cells.empty())
-      analysis_detail::finalize_car_cells(result, counts, grid);
-    return result;
+    std::vector<CarResult> cells(roll.nch, CarResult{});
+    analysis_detail::finalize_car_cells(cells, counts, grid);
+    return cells;
   }
 };
 
@@ -252,7 +299,7 @@ StreamingCarAccumulator& StreamingCarAccumulator::operator=(
     StreamingCarAccumulator&&) noexcept = default;
 
 void StreamingCarAccumulator::push(const StreamWindow& w) { impl_->push(w); }
-CarMatrix StreamingCarAccumulator::finish() { return impl_->finish(); }
+std::vector<CarResult> StreamingCarAccumulator::finish() { return impl_->finish(); }
 
 // ---------------------------------------- StreamingCountMatrixAccumulator
 
@@ -319,10 +366,8 @@ struct StreamingCorrelatorAccumulator::Impl {
   double bin_width_s = 0, range_s = 0;
   std::size_t half_bins = 0, num_bins = 0;
   std::shared_ptr<parallel::WorkerPool> pool;
-  std::size_t nch = kNoChannels;
-  std::vector<std::vector<double>> idler;    ///< rolling per-channel columns
-  std::vector<std::vector<double>> pending;  ///< unresolved signal events
-  std::vector<std::uint64_t> counts;         ///< nch x num_bins
+  ColumnRoll roll;
+  std::vector<std::uint64_t> counts;  ///< nch x num_bins
   bool finished = false;
 
   Impl(double bin_width, double range) : bin_width_s(bin_width), range_s(range) {
@@ -336,46 +381,16 @@ struct StreamingCorrelatorAccumulator::Impl {
   void push(const StreamWindow& w) {
     if (finished)
       throw std::logic_error("StreamingCorrelatorAccumulator: push after finish");
-    if (w.events.signal.num_channels() != w.events.idler.num_channels())
-      throw std::invalid_argument("correlate_all: channel count mismatch");
-    if (nch == kNoChannels) {
-      nch = w.events.signal.num_channels();
-      idler.resize(nch);
-      pending.resize(nch);
-      counts.assign(nch * num_bins, 0);
-    } else if (w.events.signal.num_channels() != nch) {
-      throw std::invalid_argument(
-          "streaming accumulator: window channel count changed mid-run");
-    }
-    for (std::size_t c = 0; c < nch; ++c) {
-      append_sorted(idler[c], w.events.idler.channel_begin(c),
-                    w.events.idler.channel_end(c));
-      append_sorted(pending[c], w.events.signal.channel_begin(c),
-                    w.events.signal.channel_end(c));
-    }
+    roll.append_window(w, "correlate_all");
+    if (counts.empty()) counts.assign(roll.nch * num_bins, 0);
     resolve(w.t_end_s);
   }
 
   void resolve(double frontier) {
-    if (nch == kNoChannels) return;
-    const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
-    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
-        columns_of(pending), range_s, frontier, pool.get(), num_bins, counts.data(),
-        analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins, num_bins));
-    for (std::size_t c = 0; c < nch; ++c) {
-      auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
-      const double unresolved = p.empty() ? frontier : p.front();
-      if (std::isfinite(unresolved)) {
-        auto& col = idler[c];
-        const auto cut =
-            std::lower_bound(col.begin(), col.end(), unresolved - range_s) -
-            col.begin();
-        col.erase(col.begin(), col.begin() + cut);
-      } else {
-        idler[c].clear();
-      }
-    }
+    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
+    roll.resolve(frontier, range_s, num_bins, pool.get(), counts,
+                 analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins,
+                                             num_bins));
   }
 
   std::vector<CoincidenceHistogram> finish() {
@@ -383,7 +398,7 @@ struct StreamingCorrelatorAccumulator::Impl {
       throw std::logic_error(
           "StreamingCorrelatorAccumulator: finish called twice");
     finished = true;
-    if (nch == kNoChannels) return {};
+    if (roll.nch == kNoChannels) return {};
     resolve(kInf);
     return analysis_detail::split_histograms(counts, num_bins, bin_width_s, range_s);
   }

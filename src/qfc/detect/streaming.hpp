@@ -4,9 +4,13 @@
 /// Windowed, bounded-memory generation and online analysis for the event
 /// engine: EventStreamer produces the exact click streams of
 /// EventEngine::run in fixed time windows, and the Streaming*Accumulator
-/// classes fold each window into car_matrix / coincidence_count_matrix /
+/// classes fold each window into car_diagonal / coincidence_count_matrix /
 /// correlate_all / Allan-deviation results, discarding consumed events as
 /// they resolve, so resident memory stays flat no matter how long the run.
+/// The two diagonal accumulators (CAR, correlator) keep one rolling idler
+/// column per channel and sweep channel c against channel c only; the
+/// count-matrix accumulator, the one cross-channel result, keeps a merged
+/// idler view.
 ///
 /// Determinism and parity contract: batch is one window of the single
 /// implementation. EventStreamer::next and EventEngine::run drive the same
@@ -101,9 +105,11 @@ class EventStreamer {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Online car_matrix: push every window, then finish() returns exactly
-/// what `car_matrix(signal, idler, ...)` would return for the whole run —
-/// bitwise, at every window size and every thread count. Like the batch
+/// Online per-channel CAR: push every window, then finish() returns exactly
+/// what `car_diagonal(signal, idler, ...)` would return for the whole run
+/// (one CarResult per channel pair, each equal to the car_matrix diagonal
+/// cell) — bitwise, at every window size and every thread count. Every
+/// window must carry as many idler as signal channels. Like the batch
 /// helpers, every accumulator shards its resolves on the detect pool (see
 /// set_analysis_threads), held from construction.
 class StreamingCarAccumulator {
@@ -115,7 +121,7 @@ class StreamingCarAccumulator {
   StreamingCarAccumulator& operator=(StreamingCarAccumulator&&) noexcept;
 
   void push(const StreamWindow& w);
-  CarMatrix finish();
+  std::vector<CarResult> finish();
 
  private:
   struct Impl;

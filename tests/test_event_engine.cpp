@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -561,14 +562,72 @@ TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
   EXPECT_GE(detect::analysis_threads(), 1u);  // auto resolves to hardware
 }
 
+TEST(BatchedAnalysis, CarDiagonalEqualsCarMatrixDiagonal) {
+  // Four channels on adjacent comb bins with strong cross-talk leakage,
+  // plus an empty channel on a distant bin: every off-diagonal cell holds
+  // counts, so a diagonal that matches the matrix bitwise has ignored every
+  // other channel's idlers. Long enough for several shards per channel.
+  auto specs = test_specs(4);
+  ChannelPairSpec empty;
+  empty.pair_rate_hz = 0;
+  empty.linewidth_hz = 100e6;
+  empty.detector_signal.dark_rate_hz = 0;
+  empty.detector_idler.dark_rate_hz = 0;
+  specs.push_back(empty);
+  detect::apply_adjacent_crosstalk(specs, {0, 1, 2, 3, 10},
+                                   {0.5, 0.5, 0.5, 0.5, 0.0});
+  EngineConfig ec;
+  ec.duration_s = 4.0;
+  ec.seed = 4141;
+  const EngineResult res = EventEngine(ec).run(specs);
+  ASSERT_EQ(res.signal.channel_size(4), 0u);
+  ASSERT_EQ(res.idler.channel_size(4), 0u);
+
+  const double window = 8e-9, spacing = 100e-9;
+  const auto matrix = at_analysis_threads(
+      1, [&] { return detect::car_matrix(res.signal, res.idler, window, spacing, 10); });
+  double off_diagonal = 0;
+  for (std::size_t s = 0; s < 4; ++s)
+    for (std::size_t i = 0; i < 4; ++i)
+      if (s != i) off_diagonal += matrix.at(s, i).coincidences;
+  EXPECT_GT(off_diagonal, 0.0);
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " detect threads");
+    const auto diag = at_analysis_threads(threads, [&] {
+      return detect::car_diagonal(res.signal, res.idler, window, spacing, 10);
+    });
+    ASSERT_EQ(diag.size(), specs.size());
+    for (std::size_t c = 0; c < diag.size(); ++c) {
+      // Exact (bitwise) double comparison on purpose.
+      EXPECT_EQ(diag[c].coincidences, matrix.at(c, c).coincidences) << "channel " << c;
+      EXPECT_EQ(diag[c].accidentals, matrix.at(c, c).accidentals) << "channel " << c;
+      EXPECT_EQ(diag[c].car, matrix.at(c, c).car) << "channel " << c;
+      EXPECT_EQ(diag[c].car_err, matrix.at(c, c).car_err) << "channel " << c;
+    }
+    EXPECT_EQ(diag[4].coincidences, 0.0);
+  }
+
+  const EventTable none = EventTable::from_columns({});
+  EXPECT_TRUE(detect::car_diagonal(none, none, window, spacing).empty());
+  EXPECT_TRUE(detect::car_matrix(none, none, window, spacing).cells.empty());
+}
+
 TEST(BatchedAnalysis, ValidationErrors) {
   const EventTable empty = EventTable::from_columns({{}});
   EXPECT_THROW(detect::car_matrix(empty, empty, 0.0, 1e-7), std::invalid_argument);
   EXPECT_THROW(detect::car_matrix(empty, empty, 1e-8, 1e-8), std::invalid_argument);
   EXPECT_THROW(detect::car_matrix(empty, empty, 1e-8, 1e-7, 0), std::invalid_argument);
+  // car_diagonal rejects what car_matrix rejects, plus unequal channel
+  // counts (a diagonal needs one idler per signal channel).
+  EXPECT_THROW(detect::car_diagonal(empty, empty, 0.0, 1e-7), std::invalid_argument);
+  EXPECT_THROW(detect::car_diagonal(empty, empty, 1e-8, 1e-8), std::invalid_argument);
+  EXPECT_THROW(detect::car_diagonal(empty, empty, 1e-8, 1e-7, 0), std::invalid_argument);
   EXPECT_THROW(detect::correlate_all(empty, empty, 0.0, 1e-9), std::invalid_argument);
   const EventTable two = EventTable::from_columns({{}, {}});
   EXPECT_THROW(detect::correlate_all(empty, two, 1e-9, 1e-8), std::invalid_argument);
+  EXPECT_NO_THROW(detect::car_matrix(empty, two, 1e-8, 1e-7));
+  EXPECT_THROW(detect::car_diagonal(empty, two, 1e-8, 1e-7), std::invalid_argument);
   EXPECT_THROW(detect::coincidence_count_matrix(empty, empty, -1e-9),
                std::invalid_argument);
 }

@@ -3,6 +3,7 @@
 // and thread counts; boundary-violation accounting; and the
 // streaming-backed core façades.
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -125,16 +126,12 @@ EngineResult drain(EventStreamer& s) {
   return r;
 }
 
-void expect_car_equal(const detect::CarMatrix& a, const detect::CarMatrix& b) {
-  ASSERT_EQ(a.num_signal, b.num_signal);
-  ASSERT_EQ(a.num_idler, b.num_idler);
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].coincidences, b.cells[i].coincidences) << "cell " << i;
-    EXPECT_EQ(a.cells[i].accidentals, b.cells[i].accidentals) << "cell " << i;
-    EXPECT_EQ(a.cells[i].car, b.cells[i].car) << "cell " << i;
-    EXPECT_EQ(a.cells[i].car_err, b.cells[i].car_err) << "cell " << i;
-  }
+void expect_car_equal(const detect::CarResult& a, const detect::CarResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.coincidences, b.coincidences) << what;
+  EXPECT_EQ(a.accidentals, b.accidentals) << what;
+  EXPECT_EQ(a.car, b.car) << what;
+  EXPECT_EQ(a.car_err, b.car_err) << what;
 }
 
 /// Window sizes exercised by the parity sweep: several windows, a window
@@ -170,6 +167,9 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
   const EngineResult batch = EventEngine(ec).run(specs);
   const auto batch_car =
       detect::car_matrix(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10);
+  const auto batch_diag =
+      detect::car_diagonal(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10);
+  ASSERT_EQ(batch_diag.size(), specs.size());
   const auto batch_counts = detect::coincidence_count_matrix(
       batch.signal, batch.idler, kCarWindow, kCountOffset);
   const auto batch_hists =
@@ -202,7 +202,13 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
       EXPECT_EQ(streamer.boundary_violations(), 0u);
       EXPECT_EQ(EventTable::from_columns(std::move(sig)), batch.signal);
       EXPECT_EQ(EventTable::from_columns(std::move(idl)), batch.idler);
-      expect_car_equal(car.finish(), batch_car);
+      const auto cars = car.finish();
+      ASSERT_EQ(cars.size(), specs.size());
+      for (std::size_t c = 0; c < cars.size(); ++c) {
+        const std::string ch = "channel " + std::to_string(c);
+        expect_car_equal(cars[c], batch_diag[c], ch + " vs car_diagonal");
+        expect_car_equal(cars[c], batch_car.at(c, c), ch + " vs car_matrix");
+      }
       EXPECT_EQ(cm.finish(), batch_counts);
       const auto hists = corr.finish();
       ASSERT_EQ(hists.size(), batch_hists.size());
@@ -276,8 +282,10 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   // A pathological configuration — huge detector jitter, narrow linewidth,
   // and the look-ahead slack overridden to 1 ps — guarantees clicks and
   // arrivals materialize behind already-emitted boundaries. The streamer
-  // must count them and still complete with valid (sorted) windows.
-  std::vector<ChannelPairSpec> specs(1);
+  // must count them and still complete with valid (sorted) windows, and the
+  // CAR accumulator must repair the junction of every channel's rolling
+  // columns and still report one result per channel.
+  std::vector<ChannelPairSpec> specs(2);
   specs[0].pair_rate_hz = 50000;
   specs[0].linewidth_hz = 1e3;  // Laplace delay scale ~160 us
   specs[0].detector_signal.efficiency = 0.9;
@@ -285,6 +293,8 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   specs[0].detector_signal.jitter_sigma_s = 5e-3;
   specs[0].detector_signal.dead_time_s = 0;
   specs[0].detector_idler = specs[0].detector_signal;
+  specs[1] = specs[0];
+  specs[1].pair_rate_hz = 30000;
 
   StreamConfig sc;
   sc.window_s = 0.05;
@@ -299,7 +309,14 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   }
   EXPECT_GT(total, 0u);
   EXPECT_GT(s.boundary_violations(), 0u);
-  (void)car.finish();
+  const auto cars = car.finish();
+  ASSERT_EQ(cars.size(), specs.size());
+  for (const detect::CarResult& r : cars) {
+    EXPECT_GE(r.coincidences, 0.0);
+    EXPECT_GT(r.accidentals, 0.0);
+    EXPECT_TRUE(std::isfinite(r.car));
+    EXPECT_TRUE(std::isfinite(r.car_err));
+  }
 }
 
 TEST(StreamingAllanAccumulator, MatchesDirectIntervalCounting) {
@@ -379,6 +396,16 @@ TEST(StreamingAccumulators, RejectMisuse) {
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(0, 1e-9),
                std::invalid_argument);
   EXPECT_THROW(detect::StreamingAllanAccumulator(0, 1), std::invalid_argument);
+
+  // The diagonal accumulators pair signal channel c with idler channel c,
+  // so a window must carry as many idler as signal channels.
+  StreamWindow mismatched;
+  mismatched.events.signal = EventTable::from_columns({{}, {}});
+  mismatched.events.idler = EventTable::from_columns({{}});
+  detect::StreamingCarAccumulator car3(kCarWindow, kCarSpacing, 10);
+  EXPECT_THROW(car3.push(mismatched), std::invalid_argument);
+  detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange);
+  EXPECT_THROW(corr.push(mismatched), std::invalid_argument);
 }
 
 }  // namespace

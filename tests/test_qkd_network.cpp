@@ -1,17 +1,22 @@
 // Tests for the many-user QKD network façade: zero-leakage cross-talk
-// parity with the single link, spec-level cross-talk injection, bitwise
-// determinism of a 256-user run across analysis thread counts, degenerate
-// networks, and config validation.
+// parity with the single link, spec-level cross-talk injection, per-user
+// CAR parity with the batch car_matrix diagonal, bitwise determinism of a
+// 256-user run across analysis thread counts, degenerate networks, and
+// config validation.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/qkd_network.hpp"
+#include "qfc/detect/event_engine.hpp"
 
 #include "analysis_threads_guard.hpp"
 
@@ -137,6 +142,50 @@ TEST_F(QkdNetworkFixture, CrosstalkRaisesBackgroundOfAdjacentBinsOnly) {
   EXPECT_DOUBLE_EQ(
       specs[0].background_rate_signal_hz - plain[0].background_rate_signal_hz,
       0.05 * neighbor * t_arm);
+}
+
+TEST_F(QkdNetworkFixture, ReportsMatchBatchCarMatrixDiagonal) {
+  // The network streams a per-channel CAR; each user's cell must equal the
+  // diagonal of a batch run + car_matrix over the same specs and seed,
+  // bitwise, with cross-talk making the off-diagonal cells nonzero. The CI
+  // sanitizer legs add one more stream window via QFC_STREAM_TEST_WINDOW_S.
+  core::QkdNetworkConfig cfg = core::QkdNetworkConfig::uniform(
+      /*num_users=*/8, /*max_distance_km=*/40.0);
+  cfg.stream_window_s = 0.004;
+  for (auto& user : cfg.users) user.crosstalk_leakage = 0.05;
+  const double duration = 0.02;
+
+  const core::QkdNetwork net(exp_, cfg);
+  detect::EngineConfig ec;
+  ec.duration_s = duration;
+  ec.seed = cfg.seed;
+  const detect::EngineResult batch = detect::EventEngine(ec).run(net.engine_specs());
+  const double window = cfg.users.front().endpoint.coincidence_window_s;
+  const detect::CarMatrix matrix =
+      detect::car_matrix(batch.signal, batch.idler, window,
+                         std::max(100e-9, 20.0 * window), /*num_side_windows=*/10);
+  ASSERT_EQ(matrix.num_signal, cfg.users.size());
+
+  std::vector<double> windows{cfg.stream_window_s};
+  if (const char* env = std::getenv("QFC_STREAM_TEST_WINDOW_S")) {
+    const double v = std::atof(env);
+    if (v > 0) windows.push_back(v);
+  }
+  for (const double window_s : windows) {
+    SCOPED_TRACE("stream_window_s = " + std::to_string(window_s));
+    core::QkdNetworkConfig run_cfg = cfg;
+    run_cfg.stream_window_s = window_s;
+    const auto report = core::QkdNetwork(exp_, run_cfg).run(duration);
+    ASSERT_EQ(report.users.size(), cfg.users.size());
+    for (std::size_t u = 0; u < report.users.size(); ++u) {
+      SCOPED_TRACE("user " + std::to_string(u));
+      const detect::CarResult& cell = matrix.at(u, u);
+      EXPECT_EQ(report.users[u].car.coincidences, cell.coincidences);
+      EXPECT_EQ(report.users[u].car.accidentals, cell.accidentals);
+      EXPECT_EQ(report.users[u].car.car, cell.car);
+      EXPECT_EQ(report.users[u].car.car_err, cell.car_err);
+    }
+  }
 }
 
 TEST_F(QkdNetworkFixture, TwoHundredFiftySixUsersDeterministicAcrossThreads) {
