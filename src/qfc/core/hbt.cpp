@@ -105,6 +105,8 @@ HbtResult run_hbt_time_domain(const HbtStreamParams& p) {
   spec.detector_signal = sig_det;
   spec.detector_idler = herald_det;
 
+  // Batch, not streamed: the splitter draws, the per-output darks and the
+  // triples count below each take a whole column at once.
   detect::EngineConfig ec;
   ec.duration_s = p.duration_s;
   ec.seed = p.seed;

@@ -74,14 +74,18 @@ class HeraldedPhotonExperiment {
   const HeraldedConfig& config() const noexcept { return cfg_; }
 
   /// Full signal x idler coincidence matrix (paper: peaks only on the
-  /// diagonal). Streams are shared across cells, so off-diagonal cells see
-  /// genuinely accidental-only statistics.
+  /// diagonal), streamed in 1 s windows into a
+  /// detect::StreamingCarMatrixAccumulator. Streams are shared across
+  /// cells, so off-diagonal cells see genuinely accidental-only statistics.
   std::vector<MatrixCell> run_coincidence_matrix();
 
-  /// Per-channel CAR and pair-rate table at the configured pump power.
+  /// Per-channel CAR and pair-rate table at the configured pump power,
+  /// streamed in 1 s windows into a detect::StreamingCarAccumulator; the
+  /// singles are each bank's clicks summed over the windows.
   std::vector<ChannelResult> run_channel_table();
 
-  /// Time-resolved coincidence measurement on channel pair k; fits the
+  /// Time-resolved coincidence measurement on channel pair k, streamed in
+  /// 1 s windows into a detect::StreamingCorrelatorAccumulator; fits the
   /// two-sided exponential and converts to a linewidth.
   CoherenceResult run_coherence_measurement(int k, double duration_s,
                                             double hist_bin_s = 0.5e-9,
@@ -91,8 +95,8 @@ class HeraldedPhotonExperiment {
   /// Engine spec for channel pair k: pair rate and linewidth from the
   /// SFWM source, transmission and detector from the collection chain.
   detect::ChannelPairSpec channel_spec(int k) const;
-  /// All configured channel pairs through the batched event engine.
-  detect::EngineResult simulate_events(double duration_s, std::uint64_t seed) const;
+  /// channel_spec(k) for every configured channel pair, k = 1..n.
+  std::vector<detect::ChannelPairSpec> channel_specs() const;
 
   photonics::MicroringResonator device_;
   HeraldedConfig cfg_;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -141,12 +143,12 @@ std::vector<detect::CarResult> TimebinExperiment::run_car_check(double duration_
   for (int k = 1; k <= cfg_.num_channel_pairs; ++k)
     specs.push_back(cw_equivalent_spec(k, dark_rate_hz));
 
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = cfg_.seed + 4242;
-  const detect::EngineResult events = detect::EventEngine(ec).run(specs);
-  return detect::car_diagonal(events.signal, events.idler, window_s,
-                              /*side_window_spacing_s=*/100e-9);
+  detect::EventStreamer streamer({.duration_s = duration_s, .seed = cfg_.seed + 4242},
+                                 detect::StreamConfig{}, std::move(specs));
+  detect::StreamingCarAccumulator car(window_s, /*side_window_spacing_s=*/100e-9);
+  detect::StreamWindow w;
+  while (streamer.next(w)) car.push(w);
+  return car.finish();
 }
 
 detect::ChannelPairSpec TimebinExperiment::pulsed_spec(int k, double dark_rate_hz) const {
@@ -170,23 +172,24 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   for (int k = 1; k <= cfg_.num_channel_pairs; ++k)
     specs.push_back(pulsed_spec(k, dark_rate_hz));
 
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = cfg_.seed + 8484;
-  const detect::EngineResult events = detect::EventEngine(ec).run(specs);
-
   // Accidental windows at multiples of the repetition period: for a
   // pulsed source the only physical accidental estimate is a neighboring
   // pulse slot, not an arbitrary CW offset.
   const double period = 1.0 / cfg_.pump.train.repetition_rate_hz;
-  const std::vector<detect::CarResult> cars =
-      detect::car_diagonal(events.signal, events.idler, window_s, period);
-
+  detect::StreamingCarAccumulator car(window_s, period);
   // Δt histogram fine enough to resolve the early/late peak triplet.
   const double dt_bins = cfg_.pump.bin_separation_s;
-  const auto hists = detect::correlate_all(events.signal, events.idler,
-                                           /*bin_width_s=*/dt_bins / 16.0,
-                                           /*range_s=*/1.5 * dt_bins);
+  detect::StreamingCorrelatorAccumulator corr(/*bin_width_s=*/dt_bins / 16.0,
+                                              /*range_s=*/1.5 * dt_bins);
+  detect::EventStreamer streamer({.duration_s = duration_s, .seed = cfg_.seed + 8484},
+                                 detect::StreamConfig{}, std::move(specs));
+  detect::StreamWindow w;
+  while (streamer.next(w)) {
+    car.push(w);
+    corr.push(w);
+  }
+  const std::vector<detect::CarResult> cars = car.finish();
+  const std::vector<detect::CoincidenceHistogram> hists = corr.finish();
 
   std::vector<PulsedClickCheck> out;
   out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));

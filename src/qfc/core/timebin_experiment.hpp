@@ -88,8 +88,9 @@ class TimebinExperiment {
 
   /// Engine-backed Monte-Carlo cross-check of the coincidence statistics
   /// behind the analytic fringe model: CW-equivalent click streams for all
-  /// channel pairs generated in one batched pass, with each channel's CAR
-  /// measured against its own idler channel (detect::car_diagonal).
+  /// channel pairs streamed in 1 s windows, with each channel's CAR
+  /// measured against its own idler channel
+  /// (detect::StreamingCarAccumulator).
   std::vector<detect::CarResult> run_car_check(double duration_s,
                                                double dark_rate_hz = 1000.0,
                                                double window_s = 4e-9) const;
@@ -112,7 +113,8 @@ class TimebinExperiment {
   /// early/early + late/late central peak and the early/late, late/early
   /// side peaks at ±ΔT (multi-pair accidentals). Accidental windows for
   /// the CAR sit at multiples of the repetition period, as in the pulsed
-  /// experiments of Sec. IV.
+  /// experiments of Sec. IV. Streamed in 1 s windows into a CAR and a Δt
+  /// correlator accumulator.
   std::vector<PulsedClickCheck> run_pulsed_car_check(double duration_s,
                                                      double dark_rate_hz = 1000.0,
                                                      double window_s = 4e-9) const;

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/detect/event_engine.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -78,18 +78,18 @@ Type2CarResult Type2Experiment::measure_at(double total_power_w,
   spec.detector_signal = te_chain.detector;
   spec.detector_idler = tm_chain.detector;
 
-  detect::EngineConfig ec;
-  ec.duration_s = cfg_.duration_s;
-  ec.seed = cfg_.seed + seed_offset;
-  const detect::EngineResult events = detect::EventEngine(ec).run({spec});
-  const std::vector<detect::CarResult> cars =
-      detect::car_diagonal(events.signal, events.idler, cfg_.coincidence_window_s,
-                           cfg_.side_window_spacing_s);
+  detect::EventStreamer streamer(
+      {.duration_s = cfg_.duration_s, .seed = cfg_.seed + seed_offset},
+      detect::StreamConfig{}, {spec});
+  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s,
+                                      cfg_.side_window_spacing_s);
+  detect::StreamWindow w;
+  while (streamer.next(w)) car.push(w);
 
   Type2CarResult r;
   r.pump_power_w = total_power_w;
   r.pair_rate_on_chip_hz = src.pair_rate_hz(1);
-  r.car = cars.front();
+  r.car = car.finish().front();
   r.coincidence_rate_hz =
       std::max(0.0, r.car.coincidences - r.car.accidentals) / cfg_.duration_s;
   return r;

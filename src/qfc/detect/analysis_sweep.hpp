@@ -1,19 +1,18 @@
 #pragma once
 
 /// \file analysis_sweep.hpp
-/// Internal: the one analysis sweep behind the batched analysis helpers
-/// (event_engine.cpp) and the streaming accumulators (streaming.cpp) — the
-/// merged idler view, the CAR window grid, the sharded sweep over signal
-/// columns and the per-analysis chunk sweeps. Cross-channel analyses
-/// (car_sweep, window_sweep) sweep each signal column against the merged
-/// idler view; diagonal ones (car_pair_sweep, corr_sweep) sweep signal
-/// column c against idler column c only. Both CAR sweeps decide window
-/// membership with the one car_window helper, so every diagonal cell of
-/// car_matrix equals car_diagonal bitwise. A batch helper is the sweep
-/// with every event resolved at once (frontier = +∞), an accumulator the
-/// same sweep resolved window by window, so "streaming is bitwise identical
-/// to batch" needs no second copy of any count. Not installed API; include
-/// only from qfc::detect translation units.
+/// Internal: the one analysis sweep behind every analysis of streaming.cpp
+/// — the merged idler view, the CAR window grid, the sharded sweep over
+/// signal columns and the per-analysis chunk sweeps. The cross-channel
+/// CAR matrix (car_sweep) sweeps each signal column against the merged
+/// idler view; the diagonal analyses (car_pair_sweep, corr_sweep) sweep
+/// signal column c against idler column c only. Both CAR sweeps decide
+/// window membership with the one car_window helper, so every diagonal cell
+/// of car_matrix equals car_diagonal bitwise. Each analysis runs these
+/// sweeps window by window for its accumulator; the batch helper is the
+/// same analysis with one window resolved at frontier = +∞, so "streaming is
+/// bitwise identical to batch" needs no second copy of any count. Not
+/// installed API; include only from qfc::detect translation units.
 
 #include <algorithm>
 #include <cmath>
@@ -32,8 +31,8 @@ class WorkerPool;
 
 namespace qfc::detect::analysis_detail {
 
-/// Fixed shard size of the batched analysis sweeps *and* of the streaming
-/// accumulators' per-push chunk fan-out. Boundaries derived from it depend
+/// Fixed shard size of every analysis resolve, batch (one resolve at +∞)
+/// or streamed (one per pushed window). Boundaries derived from it depend
 /// only on the data, never on the worker count.
 constexpr std::size_t kAnalysisChunkEvents = 16384;
 
@@ -64,13 +63,6 @@ struct Column {
   const double* begin = nullptr;
   const double* end = nullptr;
 };
-
-inline std::vector<Column> columns_of(const EventTable& table) {
-  std::vector<Column> cols(table.num_channels());
-  for (std::size_t c = 0; c < cols.size(); ++c)
-    cols[c] = {table.channel_begin(c), table.channel_end(c)};
-  return cols;
-}
 
 inline std::vector<Column> columns_of(const std::vector<std::vector<double>>& per_channel) {
   std::vector<Column> cols(per_channel.size());
@@ -140,9 +132,9 @@ inline CarGrid make_car_grid(double window_s, double side_window_spacing_s,
   return g;
 }
 
-/// make_car_grid after the parameter checks shared by car_matrix,
-/// car_diagonal and StreamingCarAccumulator; `who` names the caller in the
-/// std::invalid_argument message.
+/// make_car_grid after the parameter checks shared by the two CAR analyses
+/// (car_matrix, car_diagonal and their accumulators); `who` names the batch
+/// helper in the std::invalid_argument message.
 inline CarGrid checked_car_grid(const char* who, double window_s,
                                 double side_window_spacing_s, int num_side_windows) {
   const std::string name(who);
@@ -203,26 +195,6 @@ inline ChunkSweep car_pair_sweep(const std::vector<Column>& idler, const CarGrid
       for (const double* j = lo; j != ie && *j <= ta + g.reach; ++j) {
         const int w = car_window(g, ta, *j);
         if (w >= 0) ++row[static_cast<std::size_t>(w)];
-      }
-    }
-  };
-}
-
-/// Windowed-coincidence sweep against a merged idler sequence: same
-/// center-bounds arithmetic as count_coincidences.
-inline ChunkSweep window_sweep(const std::vector<double>& it,
-                               const std::vector<std::uint32_t>& ich, double half,
-                               double offset_s, double reach) {
-  return [&it, &ich, half, offset_s, reach](std::size_t, const double* a0,
-                                            const double* a1, std::uint64_t* row) {
-    std::size_t lo = sweep_start(it, *a0, reach);
-    for (const double* a = a0; a != a1; ++a) {
-      const double ta = *a;
-      const double center = ta - offset_s;
-      while (lo < it.size() && it[lo] < ta - reach) ++lo;
-      for (std::size_t j = lo; j < it.size() && it[j] <= ta + reach; ++j) {
-        const double tb = it[j];
-        if (tb >= center - half && tb <= center + half) ++row[ich[j]];
       }
     }
   };

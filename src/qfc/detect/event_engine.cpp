@@ -412,9 +412,6 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
 
 namespace {
 
-using analysis_detail::MergedView;
-using analysis_detail::merge_channels;
-
 // ----------------------------------------------------- detect worker pool
 
 std::mutex analysis_pool_mutex;
@@ -501,14 +498,6 @@ std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, doubl
 
 }  // namespace analysis_detail
 
-namespace {
-
-using analysis_detail::analysis_pool;
-using analysis_detail::columns_of;
-using analysis_detail::sweep_resolved;
-
-}  // namespace
-
 void set_analysis_threads(unsigned n) {
   std::lock_guard<std::mutex> lock(analysis_pool_mutex);
   analysis_request() = n;
@@ -525,115 +514,10 @@ unsigned analysis_thread_request() {
   return analysis_request();
 }
 
-std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
-                                                const EventTable& idler,
-                                                double bin_width_s, double range_s) {
-  if (bin_width_s <= 0 || range_s <= 0)
-    throw std::invalid_argument("correlate_all: non-positive bin width or range");
-  if (signal.num_channels() != idler.num_channels())
-    throw std::invalid_argument("correlate_all: channel count mismatch");
-  QFC_OBS_SPAN("engine.correlate_all", {{"events", signal.size() + idler.size()}});
-
-  const auto half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
-  const std::size_t num_bins = 2 * half_bins + 1;
-
-  // Diagonal pairs only: two-pointer passes directly over the contiguous
-  // columns, sharded per signal-column chunk.
-  std::vector<std::uint64_t> counts(signal.num_channels() * num_bins, 0);
-  const auto wp = analysis_pool();
-  const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
-  sweep_resolved(columns_of(signal), range_s, kInf, wp.get(), num_bins,
-                 counts.data(),
-                 analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins,
-                                             num_bins));
-  return analysis_detail::split_histograms(counts, num_bins, bin_width_s, range_s);
-}
-
-std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
-                                                    const EventTable& idler,
-                                                    double window_s, double offset_s) {
-  if (window_s <= 0)
-    throw std::invalid_argument("coincidence_count_matrix: window <= 0");
-
-  const std::size_t ns = signal.num_channels();
-  const std::size_t ni = idler.num_channels();
-  std::vector<std::uint64_t> counts(ns * ni, 0);
-  if (ns == 0 || ni == 0) return counts;
-  QFC_OBS_SPAN("engine.count_matrix", {{"events", signal.size() + idler.size()}});
-
-  const double half = window_s / 2.0;
-  // Conservative scan reach (one extra window of slack): membership below
-  // uses the same center-bounds arithmetic as count_coincidences, so the
-  // counts are bitwise identical to the pairwise legacy scan.
-  const double reach = std::abs(offset_s) + window_s;
-  // Merge only the idler side; the signal side is swept one contiguous
-  // channel column at a time (each already sorted), which skips half the
-  // merge work without changing any count.
-  const auto wp = analysis_pool();
-  const MergedView i = merge_channels(idler, wp.get());
-  sweep_resolved(columns_of(signal), reach, kInf, wp.get(), ni, counts.data(),
-                 analysis_detail::window_sweep(i.t, i.ch, half, offset_s, reach));
-  return counts;
-}
-
 const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
   if (s >= num_signal || i >= num_idler)
     throw std::out_of_range("CarMatrix::at: bad cell");
   return cells[s * num_idler + i];
-}
-
-CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
-                     double window_s, double side_window_spacing_s,
-                     int num_side_windows) {
-  // Window grid + per-event counting live in analysis_sweep.hpp, shared
-  // with car_diagonal and the streaming accumulator so every path counts
-  // with one copy of the arithmetic.
-  const analysis_detail::CarGrid grid = analysis_detail::checked_car_grid(
-      "car_matrix", window_s, side_window_spacing_s, num_side_windows);
-
-  CarMatrix result;
-  result.num_signal = signal.num_channels();
-  result.num_idler = idler.num_channels();
-  result.cells.assign(result.num_signal * result.num_idler, CarResult{});
-  if (result.cells.empty()) return result;
-  QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
-  std::vector<std::uint64_t> counts(result.cells.size() * grid.stride, 0);
-
-  // Merge only the idler side; sweep the signal side per contiguous
-  // channel column, sharded across the analysis workers (see
-  // coincidence_count_matrix).
-  const std::size_t ni = result.num_idler;
-  const auto wp = analysis_pool();
-  const MergedView i = merge_channels(idler, wp.get());
-  sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), ni * grid.stride,
-                 counts.data(), analysis_detail::car_sweep(i.t, i.ch, grid));
-
-  analysis_detail::finalize_car_cells(result.cells, counts, grid);
-  return result;
-}
-
-std::vector<CarResult> car_diagonal(const EventTable& signal, const EventTable& idler,
-                                    double window_s, double side_window_spacing_s,
-                                    int num_side_windows) {
-  const analysis_detail::CarGrid grid = analysis_detail::checked_car_grid(
-      "car_diagonal", window_s, side_window_spacing_s, num_side_windows);
-  if (signal.num_channels() != idler.num_channels())
-    throw std::invalid_argument("car_diagonal: channel count mismatch");
-
-  std::vector<CarResult> cells(signal.num_channels(), CarResult{});
-  if (cells.empty()) return cells;
-  QFC_OBS_SPAN("engine.car_diagonal", {{"events", signal.size() + idler.size()}});
-  std::vector<std::uint64_t> counts(cells.size() * grid.stride, 0);
-
-  // Diagonal pairs only: no merged idler view, each signal column sweeps
-  // its own idler column (see correlate_all).
-  const auto wp = analysis_pool();
-  const std::vector<analysis_detail::Column> idler_cols = columns_of(idler);
-  sweep_resolved(columns_of(signal), grid.reach, kInf, wp.get(), grid.stride,
-                 counts.data(), analysis_detail::car_pair_sweep(idler_cols, grid));
-
-  analysis_detail::finalize_car_cells(cells, counts, grid);
-  return cells;
 }
 
 double mean_pair_rate_hz(const ChannelPairSpec& spec) {

@@ -24,11 +24,11 @@
 /// engine's single windowed generator (engine_plan.hpp), the one the
 /// streaming engine (streaming.hpp) advances window by window, so a
 /// streamed run is bitwise identical to run() at every window size too. The
-/// batched analysis sweeps below carry the same contract: signal columns
+/// batch analyzers below are likewise one window of the streaming
+/// accumulators (streaming.hpp) and carry the same contract: signal columns
 /// are sharded into fixed-size chunks whose per-cell integer counts merge
-/// additively in chunk order, so car_matrix/car_diagonal/
-/// coincidence_count_matrix/correlate_all are bitwise identical at every
-/// analysis thread count.
+/// additively in chunk order, so car_matrix/car_diagonal/correlate_all are
+/// bitwise identical at every analysis thread count.
 
 #include <cstdint>
 #include <vector>
@@ -160,15 +160,6 @@ unsigned analysis_thread_request();
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s);
-
-/// Windowed coincidence counts (|t_s - t_i - offset| <= window/2) for every
-/// (signal channel, idler channel) combination in a single merge-sweep.
-/// Row-major: count[s * idler.num_channels() + i]. Threading as in
-/// correlate_all.
-std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
-                                                    const EventTable& idler,
-                                                    double window_s,
-                                                    double offset_s = 0.0);
 
 struct CarMatrix {
   std::size_t num_signal = 0;

@@ -130,161 +130,265 @@ void append_sorted(std::vector<double>& dst, const double* begin,
                        dst.begin() + static_cast<std::ptrdiff_t>(old), dst.end());
 }
 
-/// Rolling state of the count-matrix accumulator, the one cross-channel
-/// accumulator: the trimmed merged idler view and the per-signal-channel
-/// unresolved event buffers.
-struct MergedRoll {
-  std::size_t ns = kNoChannels, ni = kNoChannels;
+/// The first window fixes a bank's channel count; every later one must
+/// carry the same.
+void fix_channel_count(std::size_t& fixed, std::size_t n) {
+  if (fixed == kNoChannels)
+    fixed = n;
+  else if (n != fixed)
+    throw std::invalid_argument(
+        "streaming accumulator: window channel count changed mid-run");
+}
+
+/// Leading events of sorted idler times `t` that no sweep reaches again once
+/// every unresolved signal event lies at or after `from`: those before
+/// from - reach, or all of them at from = +∞.
+std::ptrdiff_t stale(const std::vector<double>& t, double from, double reach) {
+  if (!std::isfinite(from)) return static_cast<std::ptrdiff_t>(t.size());
+  return std::lower_bound(t.begin(), t.end(), from - reach) - t.begin();
+}
+
+/// What both rolls hold on the signal side: per channel the events not yet
+/// swept, the detect pool (held from construction) and the integer counts
+/// (row c at c * row_size, sized at the first resolve).
+struct SignalRoll {
+  std::size_t ns = kNoChannels;
+  std::vector<std::vector<double>> pending;
+  std::shared_ptr<parallel::WorkerPool> pool = analysis_detail::analysis_pool();
+  std::vector<std::uint64_t> counts;
+
+  bool started() const { return ns != kNoChannels; }
+
+  void append_signal(const EventTable& signal) {
+    fix_channel_count(ns, signal.num_channels());
+    pending.resize(ns);
+    for (std::size_t c = 0; c < ns; ++c)
+      append_sorted(pending[c], signal.channel_begin(c), signal.channel_end(c));
+  }
+
+  /// Count every pending event whose full reach lies behind `frontier`
+  /// (analysis_detail::sweep_resolved) with `sweep`, then drop it.
+  void sweep_pending(double frontier, double reach, std::size_t row_size,
+                     const analysis_detail::ChunkSweep& sweep) {
+    if (counts.empty()) counts.assign(ns * row_size, 0);
+    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
+        columns_of(pending), reach, frontier, pool.get(), row_size, counts.data(), sweep);
+    for (std::size_t c = 0; c < ns; ++c)
+      pending[c].erase(pending[c].begin(),
+                       pending[c].begin() + static_cast<std::ptrdiff_t>(resolved[c]));
+  }
+
+  /// Earliest time a future sweep of signal channel c starts from.
+  double unresolved(std::size_t c, double frontier) const {
+    return pending[c].empty() ? frontier : pending[c].front();
+  }
+};
+
+/// Roll of the diagonal analyses (per-channel CAR, correlator): per channel
+/// c the rolling idler column, swept against signal channel c only and
+/// trimmed below what channel c's pending events can reach.
+struct ColumnRoll : SignalRoll {
+  std::vector<std::vector<double>> idler;
+
+  /// `who` names the batch helper in the channel-count-mismatch message.
+  void append(const EventTable& signal, const EventTable& idler_bank, const char* who) {
+    if (signal.num_channels() != idler_bank.num_channels())
+      throw std::invalid_argument(std::string(who) + ": channel count mismatch");
+    append_signal(signal);
+    idler.resize(ns);
+    for (std::size_t c = 0; c < ns; ++c)
+      append_sorted(idler[c], idler_bank.channel_begin(c), idler_bank.channel_end(c));
+  }
+
+  /// `sweep` is a pairwise sweep over columns_of(idler).
+  void resolve(double frontier, double reach, std::size_t row_size,
+               const analysis_detail::ChunkSweep& sweep) {
+    sweep_pending(frontier, reach, row_size, sweep);
+    for (std::size_t c = 0; c < ns; ++c)
+      idler[c].erase(idler[c].begin(),
+                     idler[c].begin() + stale(idler[c], unresolved(c, frontier), reach));
+  }
+};
+
+/// Roll of the cross-channel CAR matrix: one merged, time-ordered idler
+/// view over all channels, swept against every signal channel and trimmed
+/// below what the earliest pending event of any channel can reach.
+struct MergedRoll : SignalRoll {
+  std::size_t ni = kNoChannels;
   std::vector<double> it;
   std::vector<std::uint32_t> ich;
-  std::vector<std::vector<double>> pending;
 
-  void append_window(const StreamWindow& w, parallel::WorkerPool* pool) {
-    const std::size_t wns = w.events.signal.num_channels();
-    const std::size_t wni = w.events.idler.num_channels();
-    if (ns == kNoChannels) {
-      ns = wns;
-      ni = wni;
-      pending.resize(ns);
-    } else if (wns != ns || wni != ni) {
-      throw std::invalid_argument(
-          "streaming accumulator: window channel count changed mid-run");
-    }
-    analysis_detail::MergedView mv =
-        analysis_detail::merge_channels(w.events.idler, pool);
+  void append(const EventTable& signal, const EventTable& idler) {
+    fix_channel_count(ni, idler.num_channels());
+    append_signal(signal);
+    analysis_detail::MergedView mv = analysis_detail::merge_channels(idler, pool.get());
     const bool clean = it.empty() || mv.t.empty() || mv.t.front() >= it.back();
     it.insert(it.end(), mv.t.begin(), mv.t.end());
     ich.insert(ich.end(), mv.ch.begin(), mv.ch.end());
     if (!clean) co_sort(it, ich);
-    for (std::size_t c = 0; c < ns; ++c)
-      append_sorted(pending[c], w.events.signal.channel_begin(c),
-                    w.events.signal.channel_end(c));
   }
 
-  /// Count every signal event whose full reach lies behind `frontier`
-  /// (analysis_detail::sweep_resolved), then drop it and trim the merged
-  /// idler view below everything any future event can reach.
+  /// `sweep` is a sweep over (it, ich).
   void resolve(double frontier, double reach, std::size_t row_size,
-               parallel::WorkerPool* pool, std::vector<std::uint64_t>& counts,
                const analysis_detail::ChunkSweep& sweep) {
-    if (ns == kNoChannels) return;
-    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
-        columns_of(pending), reach, frontier, pool, row_size, counts.data(), sweep);
-    double trim_t = frontier;
-    for (std::size_t c = 0; c < ns; ++c) {
-      auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
-      if (!p.empty()) trim_t = std::min(trim_t, p.front());
-    }
-    if (std::isfinite(trim_t)) {
-      const auto cut =
-          std::lower_bound(it.begin(), it.end(), trim_t - reach) - it.begin();
-      it.erase(it.begin(), it.begin() + cut);
-      ich.erase(ich.begin(), ich.begin() + cut);
-    } else {
-      it.clear();
-      ich.clear();
-    }
+    sweep_pending(frontier, reach, row_size, sweep);
+    double from = frontier;
+    for (std::size_t c = 0; c < ns; ++c) from = std::min(from, unresolved(c, frontier));
+    const std::ptrdiff_t cut = stale(it, from, reach);
+    it.erase(it.begin(), it.begin() + cut);
+    ich.erase(ich.begin(), ich.begin() + cut);
   }
 };
 
-/// Rolling state shared by the two diagonal accumulators (CAR and
-/// correlator): per channel c, the trimmed idler column and the unresolved
-/// signal events, swept pairwise (signal c against idler c only).
-struct ColumnRoll {
-  std::size_t nch = kNoChannels;
-  std::vector<std::vector<double>> idler;    ///< rolling per-channel columns
-  std::vector<std::vector<double>> pending;  ///< unresolved signal events
+// Each analysis below is the one implementation behind a batch helper and
+// its accumulator: push(signal, idler, frontier) appends one window's
+// tables and resolves what lies behind `frontier`; finish() resolves the
+// rest and builds the result. The batch helper pushes its whole tables once
+// at frontier +∞; the accumulator pushes each window at its end time.
 
-  /// `who` names the batch helper in the channel-count-mismatch message.
-  void append_window(const StreamWindow& w, const char* who) {
-    const std::size_t wns = w.events.signal.num_channels();
-    if (wns != w.events.idler.num_channels())
-      throw std::invalid_argument(std::string(who) + ": channel count mismatch");
-    if (nch == kNoChannels) {
-      nch = wns;
-      idler.resize(nch);
-      pending.resize(nch);
-    } else if (wns != nch) {
-      throw std::invalid_argument(
-          "streaming accumulator: window channel count changed mid-run");
-    }
-    for (std::size_t c = 0; c < nch; ++c) {
-      append_sorted(idler[c], w.events.idler.channel_begin(c),
-                    w.events.idler.channel_end(c));
-      append_sorted(pending[c], w.events.signal.channel_begin(c),
-                    w.events.signal.channel_end(c));
-    }
+/// Per-channel CAR: car_diagonal and StreamingCarAccumulator.
+struct CarPairAnalysis {
+  analysis_detail::CarGrid grid;
+  ColumnRoll roll;
+
+  CarPairAnalysis(double window_s, double side_window_spacing_s, int num_side_windows)
+      : grid(analysis_detail::checked_car_grid("car_diagonal", window_s,
+                                               side_window_spacing_s, num_side_windows)) {}
+
+  void push(const EventTable& signal, const EventTable& idler, double frontier) {
+    roll.append(signal, idler, "car_diagonal");
+    resolve(frontier);
   }
 
-  /// Count every signal event whose full reach lies behind `frontier`
-  /// (analysis_detail::sweep_resolved) with `sweep`, a pairwise sweep over
-  /// columns_of(idler), then drop it and trim each idler column below
-  /// everything its channel's future events can reach.
-  void resolve(double frontier, double reach, std::size_t row_size,
-               parallel::WorkerPool* pool, std::vector<std::uint64_t>& counts,
-               const analysis_detail::ChunkSweep& sweep) {
-    if (nch == kNoChannels) return;
-    const std::vector<std::size_t> resolved = analysis_detail::sweep_resolved(
-        columns_of(pending), reach, frontier, pool, row_size, counts.data(), sweep);
-    for (std::size_t c = 0; c < nch; ++c) {
-      auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
-      const double unresolved = p.empty() ? frontier : p.front();
-      auto& col = idler[c];
-      if (std::isfinite(unresolved)) {
-        const auto cut =
-            std::lower_bound(col.begin(), col.end(), unresolved - reach) - col.begin();
-        col.erase(col.begin(), col.begin() + cut);
-      } else {
-        col.clear();
-      }
-    }
+  void resolve(double frontier) {
+    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
+    roll.resolve(frontier, grid.reach, grid.stride,
+                 analysis_detail::car_pair_sweep(idler_cols, grid));
+  }
+
+  std::vector<CarResult> finish() {
+    if (!roll.started()) return {};
+    resolve(kInf);
+    std::vector<CarResult> cells(roll.ns, CarResult{});
+    analysis_detail::finalize_car_cells(cells, roll.counts, grid);
+    return cells;
+  }
+};
+
+/// Cross-channel CAR matrix: car_matrix and StreamingCarMatrixAccumulator.
+struct CarMatrixAnalysis {
+  analysis_detail::CarGrid grid;
+  MergedRoll roll;
+
+  CarMatrixAnalysis(double window_s, double side_window_spacing_s, int num_side_windows)
+      : grid(analysis_detail::checked_car_grid("car_matrix", window_s,
+                                               side_window_spacing_s, num_side_windows)) {}
+
+  void push(const EventTable& signal, const EventTable& idler, double frontier) {
+    roll.append(signal, idler);
+    resolve(frontier);
+  }
+
+  void resolve(double frontier) {
+    roll.resolve(frontier, grid.reach, roll.ni * grid.stride,
+                 analysis_detail::car_sweep(roll.it, roll.ich, grid));
+  }
+
+  CarMatrix finish() {
+    CarMatrix m;
+    if (!roll.started()) return m;
+    resolve(kInf);
+    m.num_signal = roll.ns;
+    m.num_idler = roll.ni;
+    m.cells.assign(m.num_signal * m.num_idler, CarResult{});
+    analysis_detail::finalize_car_cells(m.cells, roll.counts, grid);
+    return m;
+  }
+};
+
+/// Diagonal Δt histograms: correlate_all and StreamingCorrelatorAccumulator.
+struct CorrelatorAnalysis {
+  double bin_width_s = 0, range_s = 0;
+  std::size_t half_bins = 0, num_bins = 0;
+  ColumnRoll roll;
+
+  CorrelatorAnalysis(double bin_width, double range) : bin_width_s(bin_width), range_s(range) {
+    if (bin_width_s <= 0 || range_s <= 0)
+      throw std::invalid_argument("correlate_all: non-positive bin width or range");
+    half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
+    num_bins = 2 * half_bins + 1;
+  }
+
+  void push(const EventTable& signal, const EventTable& idler, double frontier) {
+    roll.append(signal, idler, "correlate_all");
+    resolve(frontier);
+  }
+
+  void resolve(double frontier) {
+    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
+    roll.resolve(frontier, range_s, num_bins,
+                 analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins,
+                                             num_bins));
+  }
+
+  std::vector<CoincidenceHistogram> finish() {
+    if (!roll.started()) return {};
+    resolve(kInf);
+    return analysis_detail::split_histograms(roll.counts, num_bins, bin_width_s, range_s);
+  }
+};
+
+/// Misuse guard of an accumulator: a push after finish, or a second
+/// finish, throws std::logic_error naming the class.
+struct Once {
+  const char* name;
+  bool finished = false;
+
+  void push() const {
+    if (finished) throw std::logic_error(std::string(name) + ": push after finish");
+  }
+  void finish() {
+    if (finished) throw std::logic_error(std::string(name) + ": finish called twice");
+    finished = true;
   }
 };
 
 }  // namespace
 
+// ------------------------------------------ batch analyzers: one window
+
+CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
+                     double window_s, double side_window_spacing_s,
+                     int num_side_windows) {
+  CarMatrixAnalysis a(window_s, side_window_spacing_s, num_side_windows);
+  QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
+  a.push(signal, idler, kInf);
+  return a.finish();
+}
+
+std::vector<CarResult> car_diagonal(const EventTable& signal, const EventTable& idler,
+                                    double window_s, double side_window_spacing_s,
+                                    int num_side_windows) {
+  CarPairAnalysis a(window_s, side_window_spacing_s, num_side_windows);
+  QFC_OBS_SPAN("engine.car_diagonal", {{"events", signal.size() + idler.size()}});
+  a.push(signal, idler, kInf);
+  return a.finish();
+}
+
+std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
+                                                const EventTable& idler,
+                                                double bin_width_s, double range_s) {
+  CorrelatorAnalysis a(bin_width_s, range_s);
+  QFC_OBS_SPAN("engine.correlate_all", {{"events", signal.size() + idler.size()}});
+  a.push(signal, idler, kInf);
+  return a.finish();
+}
+
 // ------------------------------------------------ StreamingCarAccumulator
 
-struct StreamingCarAccumulator::Impl {
-  analysis_detail::CarGrid grid;
-  std::shared_ptr<parallel::WorkerPool> pool;
-  ColumnRoll roll;
-  std::vector<std::uint64_t> counts;  ///< nch x stride
-  bool finished = false;
-
-  Impl(double window_s, double side_window_spacing_s, int num_side_windows)
-      : grid(analysis_detail::checked_car_grid("car_diagonal", window_s,
-                                               side_window_spacing_s,
-                                               num_side_windows)),
-        pool(analysis_detail::analysis_pool()) {}
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error("StreamingCarAccumulator: push after finish");
-    QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
-    roll.append_window(w, "car_diagonal");
-    if (counts.empty()) counts.assign(roll.nch * grid.stride, 0);
-    resolve(w.t_end_s);
-  }
-
-  void resolve(double frontier) {
-    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
-    roll.resolve(frontier, grid.reach, grid.stride, pool.get(), counts,
-                 analysis_detail::car_pair_sweep(idler_cols, grid));
-  }
-
-  std::vector<CarResult> finish() {
-    if (finished)
-      throw std::logic_error("StreamingCarAccumulator: finish called twice");
-    finished = true;
-    if (roll.nch == kNoChannels) return {};
-    resolve(kInf);
-    std::vector<CarResult> cells(roll.nch, CarResult{});
-    analysis_detail::finalize_car_cells(cells, counts, grid);
-    return cells;
-  }
+struct StreamingCarAccumulator::Impl : CarPairAnalysis {
+  using CarPairAnalysis::CarPairAnalysis;
+  Once once{"StreamingCarAccumulator"};
 };
 
 StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
@@ -298,110 +402,49 @@ StreamingCarAccumulator::StreamingCarAccumulator(
 StreamingCarAccumulator& StreamingCarAccumulator::operator=(
     StreamingCarAccumulator&&) noexcept = default;
 
-void StreamingCarAccumulator::push(const StreamWindow& w) { impl_->push(w); }
-std::vector<CarResult> StreamingCarAccumulator::finish() { return impl_->finish(); }
+void StreamingCarAccumulator::push(const StreamWindow& w) {
+  impl_->once.push();
+  QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
+}
+std::vector<CarResult> StreamingCarAccumulator::finish() {
+  impl_->once.finish();
+  return impl_->finish();
+}
 
-// ---------------------------------------- StreamingCountMatrixAccumulator
+// ------------------------------------------ StreamingCarMatrixAccumulator
 
-struct StreamingCountMatrixAccumulator::Impl {
-  double half = 0, offset_s = 0, reach = 0;
-  std::shared_ptr<parallel::WorkerPool> pool;
-  MergedRoll roll;
-  std::vector<std::uint64_t> counts;
-  bool finished = false;
-
-  Impl(double window_s, double offset) : offset_s(offset) {
-    if (window_s <= 0)
-      throw std::invalid_argument("coincidence_count_matrix: window <= 0");
-    half = window_s / 2.0;
-    reach = std::abs(offset_s) + window_s;
-    pool = analysis_detail::analysis_pool();
-  }
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error(
-          "StreamingCountMatrixAccumulator: push after finish");
-    roll.append_window(w, pool.get());
-    if (counts.empty() && roll.ns != kNoChannels)
-      counts.assign(roll.ns * roll.ni, 0);
-    resolve(w.t_end_s);
-  }
-
-  void resolve(double frontier) {
-    roll.resolve(frontier, reach, roll.ni, pool.get(), counts,
-                 analysis_detail::window_sweep(roll.it, roll.ich, half, offset_s, reach));
-  }
-
-  std::vector<std::uint64_t> finish() {
-    if (finished)
-      throw std::logic_error(
-          "StreamingCountMatrixAccumulator: finish called twice");
-    finished = true;
-    if (roll.ns == kNoChannels) return {};
-    resolve(kInf);
-    return std::move(counts);
-  }
+struct StreamingCarMatrixAccumulator::Impl : CarMatrixAnalysis {
+  using CarMatrixAnalysis::CarMatrixAnalysis;
+  Once once{"StreamingCarMatrixAccumulator"};
 };
 
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
-                                                                 double offset_s)
-    : impl_(std::make_unique<Impl>(window_s, offset_s)) {}
-StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
-StreamingCountMatrixAccumulator& StreamingCountMatrixAccumulator::operator=(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
+StreamingCarMatrixAccumulator::StreamingCarMatrixAccumulator(double window_s,
+                                                             double side_window_spacing_s,
+                                                             int num_side_windows)
+    : impl_(std::make_unique<Impl>(window_s, side_window_spacing_s,
+                                   num_side_windows)) {}
+StreamingCarMatrixAccumulator::~StreamingCarMatrixAccumulator() = default;
+StreamingCarMatrixAccumulator::StreamingCarMatrixAccumulator(
+    StreamingCarMatrixAccumulator&&) noexcept = default;
+StreamingCarMatrixAccumulator& StreamingCarMatrixAccumulator::operator=(
+    StreamingCarMatrixAccumulator&&) noexcept = default;
 
-void StreamingCountMatrixAccumulator::push(const StreamWindow& w) {
-  impl_->push(w);
+void StreamingCarMatrixAccumulator::push(const StreamWindow& w) {
+  impl_->once.push();
+  QFC_OBS_SPAN("engine.stream.car_matrix_push", {{"events", w.events.signal.size()}});
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
-std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
+CarMatrix StreamingCarMatrixAccumulator::finish() {
+  impl_->once.finish();
   return impl_->finish();
 }
 
 // ---------------------------------------- StreamingCorrelatorAccumulator
 
-struct StreamingCorrelatorAccumulator::Impl {
-  double bin_width_s = 0, range_s = 0;
-  std::size_t half_bins = 0, num_bins = 0;
-  std::shared_ptr<parallel::WorkerPool> pool;
-  ColumnRoll roll;
-  std::vector<std::uint64_t> counts;  ///< nch x num_bins
-  bool finished = false;
-
-  Impl(double bin_width, double range) : bin_width_s(bin_width), range_s(range) {
-    if (bin_width_s <= 0 || range_s <= 0)
-      throw std::invalid_argument("correlate_all: non-positive bin width or range");
-    half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
-    num_bins = 2 * half_bins + 1;
-    pool = analysis_detail::analysis_pool();
-  }
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error("StreamingCorrelatorAccumulator: push after finish");
-    roll.append_window(w, "correlate_all");
-    if (counts.empty()) counts.assign(roll.nch * num_bins, 0);
-    resolve(w.t_end_s);
-  }
-
-  void resolve(double frontier) {
-    const std::vector<analysis_detail::Column> idler_cols = columns_of(roll.idler);
-    roll.resolve(frontier, range_s, num_bins, pool.get(), counts,
-                 analysis_detail::corr_sweep(idler_cols, bin_width_s, range_s, half_bins,
-                                             num_bins));
-  }
-
-  std::vector<CoincidenceHistogram> finish() {
-    if (finished)
-      throw std::logic_error(
-          "StreamingCorrelatorAccumulator: finish called twice");
-    finished = true;
-    if (roll.nch == kNoChannels) return {};
-    resolve(kInf);
-    return analysis_detail::split_histograms(counts, num_bins, bin_width_s, range_s);
-  }
+struct StreamingCorrelatorAccumulator::Impl : CorrelatorAnalysis {
+  using CorrelatorAnalysis::CorrelatorAnalysis;
+  Once once{"StreamingCorrelatorAccumulator"};
 };
 
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_s,
@@ -414,9 +457,12 @@ StreamingCorrelatorAccumulator& StreamingCorrelatorAccumulator::operator=(
     StreamingCorrelatorAccumulator&&) noexcept = default;
 
 void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
-  impl_->push(w);
+  impl_->once.push();
+  QFC_OBS_SPAN("engine.stream.correlate_push", {{"events", w.events.signal.size()}});
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
+  impl_->once.finish();
   return impl_->finish();
 }
 
@@ -429,7 +475,7 @@ struct StreamingAllanAccumulator::Impl {
   std::vector<double> buf_a, buf_b;
   std::vector<double> counts;
   double frontier = 0;
-  bool finished = false;
+  Once once{"StreamingAllanAccumulator"};
 
   Impl(double coincidence_window_s, double sample_interval_s,
        std::size_t signal_channel, std::size_t idler_channel)
@@ -445,8 +491,7 @@ struct StreamingAllanAccumulator::Impl {
   }
 
   void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error("StreamingAllanAccumulator: push after finish");
+    once.push();
     if (s_ch >= w.events.signal.num_channels() ||
         i_ch >= w.events.idler.num_channels())
       throw std::invalid_argument("StreamingAllanAccumulator: bad channel index");
@@ -473,9 +518,7 @@ struct StreamingAllanAccumulator::Impl {
   }
 
   StreamingAllanResult finish() {
-    if (finished)
-      throw std::logic_error("StreamingAllanAccumulator: finish called twice");
-    finished = true;
+    once.finish();
     StreamingAllanResult r;
     r.counts = counts;
     if (r.counts.empty()) return r;

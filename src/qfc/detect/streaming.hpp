@@ -4,21 +4,22 @@
 /// Windowed, bounded-memory generation and online analysis for the event
 /// engine: EventStreamer produces the exact click streams of
 /// EventEngine::run in fixed time windows, and the Streaming*Accumulator
-/// classes fold each window into car_diagonal / coincidence_count_matrix /
-/// correlate_all / Allan-deviation results, discarding consumed events as
-/// they resolve, so resident memory stays flat no matter how long the run.
-/// The two diagonal accumulators (CAR, correlator) keep one rolling idler
-/// column per channel and sweep channel c against channel c only; the
-/// count-matrix accumulator, the one cross-channel result, keeps a merged
-/// idler view.
+/// classes fold each window into car_diagonal / car_matrix / correlate_all
+/// / Allan-deviation results, discarding consumed events as they resolve,
+/// so resident memory stays flat no matter how long the run. The two
+/// diagonal accumulators (CAR, correlator) keep one rolling idler column per
+/// channel and sweep channel c against channel c only; the CAR-matrix
+/// accumulator, the one cross-channel result, keeps a merged idler view.
 ///
 /// Determinism and parity contract: batch is one window of the single
-/// implementation. EventStreamer::next and EventEngine::run drive the same
-/// per-channel generator (engine_plan.hpp), which only pauses each stage's
-/// own RNG sub-stream (channel_rng.hpp) at a window boundary, and every
-/// accumulator is the batch analysis sweep resolved window by window
-/// (analysis_sweep.hpp). Consequently a streamed run is **bitwise
-/// identical** to EventEngine::run + the batch analysis helpers at every
+/// implementation, for generation and for analysis. EventStreamer::next and
+/// EventEngine::run drive the same per-channel generator (engine_plan.hpp),
+/// which only pauses each stage's own RNG sub-stream (channel_rng.hpp) at a
+/// window boundary. The batch analyzers car_matrix, car_diagonal and
+/// correlate_all are each the matching accumulator's analysis pushed one
+/// window at frontier +∞ (streaming.cpp), and every resolve runs the one
+/// analysis sweep (analysis_sweep.hpp). Consequently a streamed run is
+/// **bitwise identical** to EventEngine::run + the batch analyzers at every
 /// window size, and at every thread count.
 ///
 /// Window boundary handling: the delay and jitter distributions have
@@ -128,17 +129,20 @@ class StreamingCarAccumulator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Online coincidence_count_matrix (row-major signal x idler counts).
-class StreamingCountMatrixAccumulator {
+/// Online car_matrix: push every window, then finish() returns exactly what
+/// `car_matrix(signal, idler, ...)` would return for the whole run — every
+/// signal x idler cell, bitwise, at every window size and every thread
+/// count. The paper's cross-channel "frequency matrix".
+class StreamingCarMatrixAccumulator {
  public:
-  explicit StreamingCountMatrixAccumulator(double window_s, double offset_s = 0);
-  ~StreamingCountMatrixAccumulator();
-  StreamingCountMatrixAccumulator(StreamingCountMatrixAccumulator&&) noexcept;
-  StreamingCountMatrixAccumulator& operator=(
-      StreamingCountMatrixAccumulator&&) noexcept;
+  StreamingCarMatrixAccumulator(double window_s, double side_window_spacing_s,
+                                int num_side_windows = 10);
+  ~StreamingCarMatrixAccumulator();
+  StreamingCarMatrixAccumulator(StreamingCarMatrixAccumulator&&) noexcept;
+  StreamingCarMatrixAccumulator& operator=(StreamingCarMatrixAccumulator&&) noexcept;
 
   void push(const StreamWindow& w);
-  std::vector<std::uint64_t> finish();
+  CarMatrix finish();
 
  private:
   struct Impl;

@@ -450,26 +450,6 @@ TEST(BatchedAnalysis, CorrelateAllMatchesCorrelate) {
   }
 }
 
-TEST(BatchedAnalysis, CountMatrixMatchesLegacy) {
-  const auto specs = test_specs(2);
-  EngineConfig ec;
-  ec.duration_s = 5.0;
-  ec.seed = 63;
-  const EngineResult res = EventEngine(ec).run(specs);
-
-  for (const double offset : {0.0, 100e-9}) {
-    const auto counts =
-        detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, offset);
-    ASSERT_EQ(counts.size(), 4u);
-    for (std::size_t s = 0; s < 2; ++s)
-      for (std::size_t i = 0; i < 2; ++i)
-        EXPECT_EQ(counts[s * 2 + i],
-                  detect::count_coincidences(res.signal.channel_clicks(s),
-                                             res.idler.channel_clicks(i), 8e-9, offset))
-            << s << "," << i << " offset " << offset;
-  }
-}
-
 // ------------------------------------------------- sharded analysis threading
 
 void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatrix& b,
@@ -528,16 +508,6 @@ TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
       EXPECT_EQ(one[c].counts, many[c].counts) << "channel " << c << ", " << threads
                                                << " threads";
   }
-}
-
-TEST(ShardedAnalysis, CountMatrixBitwiseInvariantAcrossThreadCounts) {
-  const EngineResult res = sharded_analysis_table();
-  const auto sweep = [&] {
-    return detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9);
-  };
-  const auto one = at_analysis_threads(1, sweep);
-  for (const unsigned threads : {2u, 4u})
-    EXPECT_EQ(one, at_analysis_threads(threads, sweep)) << threads << " threads";
 }
 
 TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
@@ -628,8 +598,6 @@ TEST(BatchedAnalysis, ValidationErrors) {
   EXPECT_THROW(detect::correlate_all(empty, two, 1e-9, 1e-8), std::invalid_argument);
   EXPECT_NO_THROW(detect::car_matrix(empty, two, 1e-8, 1e-7));
   EXPECT_THROW(detect::car_diagonal(empty, two, 1e-8, 1e-7), std::invalid_argument);
-  EXPECT_THROW(detect::coincidence_count_matrix(empty, empty, -1e-9),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------- engine-backed core checks

@@ -150,7 +150,6 @@ std::vector<double> parity_windows() {
 
 constexpr double kCarWindow = 8e-9;
 constexpr double kCarSpacing = 100e-9;
-constexpr double kCountOffset = 50e-9;
 constexpr double kCorrBin = 1e-9;
 constexpr double kCorrRange = 40e-9;
 
@@ -170,8 +169,6 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
   const auto batch_diag =
       detect::car_diagonal(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10);
   ASSERT_EQ(batch_diag.size(), specs.size());
-  const auto batch_counts = detect::coincidence_count_matrix(
-      batch.signal, batch.idler, kCarWindow, kCountOffset);
   const auto batch_hists =
       detect::correlate_all(batch.signal, batch.idler, kCorrBin, kCorrRange);
 
@@ -184,13 +181,13 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
       detect::set_analysis_threads(threads);
       EventStreamer streamer(ec, sc, specs);
       detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
-      detect::StreamingCountMatrixAccumulator cm(kCarWindow, kCountOffset);
+      detect::StreamingCarMatrixAccumulator matrix(kCarWindow, kCarSpacing, 10);
       detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange);
       std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
       StreamWindow w;
       while (streamer.next(w)) {
         car.push(w);
-        cm.push(w);
+        matrix.push(w);
         corr.push(w);
         for (std::size_t c = 0; c < specs.size(); ++c) {
           const auto col_s = w.events.signal.channel_clicks(c);
@@ -209,7 +206,13 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
         expect_car_equal(cars[c], batch_diag[c], ch + " vs car_diagonal");
         expect_car_equal(cars[c], batch_car.at(c, c), ch + " vs car_matrix");
       }
-      EXPECT_EQ(cm.finish(), batch_counts);
+      const detect::CarMatrix cells = matrix.finish();
+      ASSERT_EQ(cells.num_signal, batch_car.num_signal);
+      ASSERT_EQ(cells.num_idler, batch_car.num_idler);
+      ASSERT_EQ(cells.cells.size(), batch_car.cells.size());
+      for (std::size_t i = 0; i < cells.cells.size(); ++i)
+        expect_car_equal(cells.cells[i], batch_car.cells[i],
+                         "matrix cell " + std::to_string(i) + " vs car_matrix");
       const auto hists = corr.finish();
       ASSERT_EQ(hists.size(), batch_hists.size());
       for (std::size_t c = 0; c < hists.size(); ++c)
@@ -282,9 +285,10 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   // A pathological configuration — huge detector jitter, narrow linewidth,
   // and the look-ahead slack overridden to 1 ps — guarantees clicks and
   // arrivals materialize behind already-emitted boundaries. The streamer
-  // must count them and still complete with valid (sorted) windows, and the
+  // must count them and still complete with valid (sorted) windows; the
   // CAR accumulator must repair the junction of every channel's rolling
-  // columns and still report one result per channel.
+  // columns and still report one result per channel, and the CAR-matrix
+  // accumulator must re-sort its merged idler view and report every cell.
   std::vector<ChannelPairSpec> specs(2);
   specs[0].pair_rate_hz = 50000;
   specs[0].linewidth_hz = 1e3;  // Laplace delay scale ~160 us
@@ -301,16 +305,26 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   sc.slack_override_s = 1e-12;
   EventStreamer s(engine_config(), sc, specs);
   detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
+  // Side windows 1 ms apart keep ~5 ms of merged idler view between
+  // windows, so stragglers land behind its tail and force the re-sort.
+  detect::StreamingCarMatrixAccumulator matrix(kCarWindow, 1e-3, 10);
   StreamWindow w;
   std::size_t total = 0;
   while (s.next(w)) {
     total += w.events.signal.size() + w.events.idler.size();
     car.push(w);  // must tolerate out-of-order windows (repair paths)
+    matrix.push(w);
   }
   EXPECT_GT(total, 0u);
   EXPECT_GT(s.boundary_violations(), 0u);
   const auto cars = car.finish();
   ASSERT_EQ(cars.size(), specs.size());
+  const detect::CarMatrix cells = matrix.finish();
+  ASSERT_EQ(cells.cells.size(), specs.size() * specs.size());
+  for (const detect::CarResult& r : cells.cells) {
+    EXPECT_GT(r.accidentals, 0.0);
+    EXPECT_TRUE(std::isfinite(r.car));
+  }
   for (const detect::CarResult& r : cars) {
     EXPECT_GE(r.coincidences, 0.0);
     EXPECT_GT(r.accidentals, 0.0);
@@ -397,6 +411,23 @@ TEST(StreamingAccumulators, RejectMisuse) {
                std::invalid_argument);
   EXPECT_THROW(detect::StreamingAllanAccumulator(0, 1), std::invalid_argument);
 
+  // The CAR-matrix accumulator checks its grid like car_matrix and guards
+  // its lifecycle like the others.
+  EXPECT_THROW(detect::StreamingCarMatrixAccumulator(0, kCarSpacing, 10),
+               std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarMatrixAccumulator(kCarWindow, kCarWindow / 2, 10),
+               std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarMatrixAccumulator(kCarWindow, kCarSpacing, 0),
+               std::invalid_argument);
+  StreamWindow two_channels;
+  two_channels.events.signal = EventTable::from_columns({{}, {}});
+  two_channels.events.idler = two_channels.events.signal;
+  detect::StreamingCarMatrixAccumulator matrix(kCarWindow, kCarSpacing, 10);
+  matrix.push(two_channels);
+  EXPECT_EQ(matrix.finish().cells.size(), 4u);
+  EXPECT_THROW(matrix.push(two_channels), std::logic_error);
+  EXPECT_THROW((void)matrix.finish(), std::logic_error);
+
   // The diagonal accumulators pair signal channel c with idler channel c,
   // so a window must carry as many idler as signal channels.
   StreamWindow mismatched;
@@ -406,6 +437,26 @@ TEST(StreamingAccumulators, RejectMisuse) {
   EXPECT_THROW(car3.push(mismatched), std::invalid_argument);
   detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange);
   EXPECT_THROW(corr.push(mismatched), std::invalid_argument);
+
+  // Every per-channel accumulator fixes the channel counts at its first
+  // window and rejects a later window that changes them.
+  StreamWindow one_channel;
+  one_channel.events.signal = EventTable::from_columns({{}});
+  one_channel.events.idler = one_channel.events.signal;
+  detect::StreamingCarAccumulator car4(kCarWindow, kCarSpacing, 10);
+  car4.push(two_channels);
+  EXPECT_THROW(car4.push(one_channel), std::invalid_argument);
+  detect::StreamingCorrelatorAccumulator corr2(kCorrBin, kCorrRange);
+  corr2.push(two_channels);
+  EXPECT_THROW(corr2.push(one_channel), std::invalid_argument);
+  detect::StreamingCarMatrixAccumulator matrix2(kCarWindow, kCarSpacing, 10);
+  matrix2.push(two_channels);
+  EXPECT_THROW(matrix2.push(one_channel), std::invalid_argument);
+  StreamWindow idler_changed = two_channels;
+  idler_changed.events.idler = one_channel.events.idler;
+  detect::StreamingCarMatrixAccumulator matrix3(kCarWindow, kCarSpacing, 10);
+  matrix3.push(two_channels);
+  EXPECT_THROW(matrix3.push(idler_changed), std::invalid_argument);
 }
 
 }  // namespace

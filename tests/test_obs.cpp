@@ -529,4 +529,56 @@ TEST(Obs, BatchRunIsOneWindowWithoutStreamingSpans) {
   EXPECT_EQ(batch[3] + batch[4] + batch[5], specs.size());
 }
 
+TEST(Obs, EveryAnalysisPushAndBatchCallHasOneSpan) {
+  // The benchmark's trace fold reads a streamed façade's analysis time off
+  // the engine.stream.*_push spans and a batch caller's off the engine.*
+  // analyzer spans: one span per pushed window, one per batch call.
+  ObsStateGuard guard;
+  std::vector<detect::ChannelPairSpec> specs(2);
+  for (auto& s : specs) {
+    s.pair_rate_hz = 30000.0;
+    s.linewidth_hz = 110e6;
+    s.detector_signal.efficiency = 0.25;
+    s.detector_signal.dark_rate_hz = 5e3;
+    s.detector_idler = s.detector_signal;
+  }
+  detect::EngineConfig ec;
+  ec.duration_s = 0.04;
+  ec.seed = 5;
+  detect::StreamConfig sc;
+  sc.window_s = ec.duration_s / 4;
+
+  obs::enable();
+  detect::EventStreamer streamer(ec, sc, specs);
+  detect::StreamingCarAccumulator car(8e-9, 100e-9);
+  detect::StreamingCarMatrixAccumulator matrix(8e-9, 100e-9);
+  detect::StreamingCorrelatorAccumulator corr(1e-9, 40e-9);
+  detect::StreamWindow w;
+  while (streamer.next(w)) {
+    car.push(w);
+    matrix.push(w);
+    corr.push(w);
+  }
+  (void)car.finish();
+  (void)matrix.finish();
+  (void)corr.finish();
+  const detect::EngineResult res = detect::EventEngine(ec).run(specs);
+  (void)detect::car_diagonal(res.signal, res.idler, 8e-9, 100e-9);
+  (void)detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9);
+  (void)detect::correlate_all(res.signal, res.idler, 1e-9, 40e-9);
+  obs::disable();
+
+  const auto count = [events = parse_events(obs::trace_json())](const char* name) {
+    std::size_t n = 0;
+    for (const auto& ev : events) n += ev.name == name ? 1 : 0;
+    return n;
+  };
+  EXPECT_EQ(count("engine.stream.car_push"), 4u);
+  EXPECT_EQ(count("engine.stream.car_matrix_push"), 4u);
+  EXPECT_EQ(count("engine.stream.correlate_push"), 4u);
+  EXPECT_EQ(count("engine.car_diagonal"), 1u);
+  EXPECT_EQ(count("engine.car_matrix"), 1u);
+  EXPECT_EQ(count("engine.correlate_all"), 1u);
+}
+
 }  // namespace
