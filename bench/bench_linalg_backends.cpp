@@ -1,8 +1,8 @@
-// Perf bench for the linalg kernel-dispatch seam: Reference (naive
-// single-threaded loops) vs Blocked (SIMD micro-kernels, cache-blocked
-// GEMM, round-robin parallel Jacobi eig/SVD on the worker pool) across a
-// dimension sweep, plus the kron seam and the batched small-matrix eig
-// path (1000 d=16 matrices — the shape of a tomography sweep).
+// Perf bench for the linalg kernels: the naive single-threaded
+// detail::reference_* loops vs the public entry points, which run the
+// Blocked kernels (SIMD micro-kernels, cache-blocked GEMM, round-robin
+// parallel Jacobi eig/SVD on the worker pool), across a dimension sweep,
+// plus the kron kernel.
 // Timing is best-of-N (minimum over reps) so small-n rows are stable.
 // Also checks value parity (1e-10) and bitwise thread-count invariance,
 // which gate the exit code; the speedup is reported but never fails CI on
@@ -30,8 +30,6 @@
 namespace {
 
 using namespace qfc;
-using linalg::Backend;
-using linalg::BackendKind;
 using linalg::CMat;
 using linalg::cplx;
 using Clock = std::chrono::steady_clock;
@@ -97,12 +95,11 @@ Row bench_eig(std::size_t n) {
   const linalg::EigOptions opt;
   const int reps = reps_for(n);
 
-  const auto er = linalg::backend(BackendKind::Reference).hermitian_eig(a, opt);
-  const auto eb = linalg::backend(BackendKind::Blocked).hermitian_eig(a, opt);
-  const double ref_ms = best_ms(
-      reps, [&] { linalg::backend(BackendKind::Reference).hermitian_eig(a, opt); });
-  const double blk_ms = best_ms(
-      reps, [&] { linalg::backend(BackendKind::Blocked).hermitian_eig(a, opt); });
+  const auto er = linalg::detail::reference_hermitian_eig(a, opt);
+  const auto eb = linalg::hermitian_eig(a);
+  const double ref_ms =
+      best_ms(reps, [&] { linalg::detail::reference_hermitian_eig(a, opt); });
+  const double blk_ms = best_ms(reps, [&] { linalg::hermitian_eig(a); });
 
   const double scale = std::max(1.0, std::abs(er.values.front()));
   const bool match = max_rvec_diff(er.values, eb.values) <= 1e-10 * scale;
@@ -114,12 +111,10 @@ Row bench_svd(std::size_t n) {
   const CMat a = random_matrix(n + n / 4, n, 2000 + static_cast<unsigned>(n));
   const int reps = reps_for(n);
 
-  const auto sr = linalg::backend(BackendKind::Reference).svd(a, 96);
-  const auto sb = linalg::backend(BackendKind::Blocked).svd(a, 96);
-  const double ref_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Reference).svd(a, 96); });
-  const double blk_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Blocked).svd(a, 96); });
+  const auto sr = linalg::detail::reference_svd(a, 96);
+  const auto sb = linalg::svd(a, 96);
+  const double ref_ms = best_ms(reps, [&] { linalg::detail::reference_svd(a, 96); });
+  const double blk_ms = best_ms(reps, [&] { linalg::svd(a, 96); });
 
   const double scale = std::max(1.0, sr.sigma.front());
   const bool match = max_rvec_diff(sr.sigma, sb.sigma) <= 1e-10 * scale;
@@ -133,96 +128,60 @@ Row bench_gemm(std::size_t n) {
   const int reps = reps_for(n);
 
   // gemm accumulates into its output, so zero it before each timed rep
-  // (the memset is negligible next to the n^3 kernel).
+  // (the memset is negligible next to the n^3 kernel). gemm_dispatch is
+  // the in-place kernel call behind operator*.
   const auto zero = [n](CMat& c) { std::fill(c.data(), c.data() + n * n, cplx{}); };
   const double ref_ms = best_ms(reps, [&] {
     zero(cr);
-    linalg::backend(BackendKind::Reference).gemm(a, b, cr);
+    linalg::detail::reference_gemm(a, b, cr);
   });
   const double blk_ms = best_ms(reps, [&] {
     zero(cb);
-    linalg::backend(BackendKind::Blocked).gemm(a, b, cb);
+    linalg::detail::gemm_dispatch(a, b, cb);
   });
 
   const bool match = (cr - cb).max_abs() <= 1e-10;
   return make_row("gemm", n, ref_ms, blk_ms, match);
 }
 
-/// Tensor product through the seam: n x n (x) n x n complex.
+/// Tensor product: n x n (x) n x n complex. kron_dispatch is the in-place
+/// kernel call behind linalg::kron above its inline cutoff.
 Row bench_kron(std::size_t n) {
   const CMat a = random_matrix(n, n, 5000 + static_cast<unsigned>(n));
   const CMat b = random_matrix(n, n, 6000 + static_cast<unsigned>(n));
   CMat cr(n * n, n * n), cb(n * n, n * n);
   const int reps = reps_for(n);
 
-  const double ref_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Reference).kron(a, b, cr); });
-  const double blk_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Blocked).kron(a, b, cb); });
+  const double ref_ms = best_ms(reps, [&] { linalg::detail::reference_kron(a, b, cr); });
+  const double blk_ms = best_ms(reps, [&] { linalg::detail::kron_dispatch(a, b, cb); });
 
   // The kron micro-kernel is in the bitwise SIMD tier; hold it to that.
   const bool match = (cr - cb).max_abs() == 0.0;
   return make_row("kron", n, ref_ms, blk_ms, match);
 }
 
-/// Batched small-matrix eig — `count` independent d x d Hermitian matrices
-/// in one call (acceptance target: 1000 d=16, the shape of a qudit
-/// tomography sweep), vs the same matrices through a serial Reference loop.
-Row bench_eig_batch(std::size_t d, std::size_t count) {
-  std::vector<CMat> as;
-  as.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    as.push_back(random_hermitian(d, 7000 + static_cast<unsigned>(i)));
-  const linalg::EigOptions opt;
-  const auto& ref = linalg::backend(BackendKind::Reference);
-  const auto& blk = linalg::backend(BackendKind::Blocked);
-
-  const auto eb = blk.hermitian_eig_batch(as, opt);
-  bool match = eb.size() == count;
-  for (std::size_t i = 0; match && i < count; ++i) {
-    const auto er = ref.hermitian_eig(as[i], opt);
-    const double scale = std::max(1.0, std::abs(er.values.front()));
-    match = max_rvec_diff(er.values, eb[i].values) <= 1e-10 * scale;
-  }
-
-  const double ref_ms = best_ms(3, [&] {
-    for (const CMat& a : as) ref.hermitian_eig(a, opt);
-  });
-  const double blk_ms = best_ms(3, [&] { blk.hermitian_eig_batch(as, opt); });
-  return make_row("eig_batch", d, ref_ms, blk_ms, match);
-}
-
 /// Blocked results must be bitwise identical for every worker count —
-/// including the batch fan-out and the pooled kron.
+/// including the pooled kron.
 bool check_thread_invariance(std::size_t n) {
   const CMat h = random_hermitian(n, 77);
   const CMat r = random_matrix(n + 8, n, 78);
-  std::vector<CMat> batch;
-  for (unsigned i = 0; i < 8; ++i) batch.push_back(random_hermitian(16, 80 + i));
   const CMat ka = random_matrix(16, 16, 90), kb = random_matrix(16, 16, 91);
-  const auto& blk = linalg::backend(BackendKind::Blocked);
   const unsigned saved_request = linalg::backend_thread_request();
 
   linalg::set_backend_threads(1);
-  const auto eig1 = blk.hermitian_eig(h, {});
-  const auto svd1 = blk.svd(r, 96);
-  const auto batch1 = blk.hermitian_eig_batch(batch, {});
-  CMat kron1(256, 256);
-  blk.kron(ka, kb, kron1);
+  const auto eig1 = linalg::hermitian_eig(h);
+  const auto svd1 = linalg::svd(r, 96);
+  const CMat kron1 = linalg::kron(ka, kb);
 
   bool ok = true;
   for (const unsigned threads : {2u, 4u}) {
     linalg::set_backend_threads(threads);
-    const auto eig = blk.hermitian_eig(h, {});
-    const auto svd = blk.svd(r, 96);
-    const auto eb = blk.hermitian_eig_batch(batch, {});
-    CMat kr(256, 256);
-    blk.kron(ka, kb, kr);
+    const auto eig = linalg::hermitian_eig(h);
+    const auto svd = linalg::svd(r, 96);
+    const CMat kr = linalg::kron(ka, kb);
     ok = ok && eig1.values == eig.values && eig1.vectors == eig.vectors &&
          svd1.sigma == svd.sigma && svd1.u == svd.u && svd1.v == svd.v &&
          kron1 == kr;
-    for (std::size_t i = 0; ok && i < batch.size(); ++i)
-      ok = batch1[i].values == eb[i].values && batch1[i].vectors == eb[i].vectors;
   }
   linalg::set_backend_threads(saved_request);
   return ok;
@@ -240,7 +199,7 @@ int main(int argc, char** argv) {
   const obs::RunReport obs_report;
 
   bench::header("P2  bench_linalg_backends",
-                "Blocked backend (SIMD micro-kernels + worker pool) at or above "
+                "Blocked kernels (SIMD micro-kernels + worker pool) at or above "
                 "Reference on every kernel and dimension, eigen/singular values "
                 "matching to 1e-10, bitwise thread-count invariant");
 
@@ -272,10 +231,9 @@ int main(int argc, char** argv) {
     emit(bench_gemm(n));
   }
   emit(bench_kron(24));
-  emit(bench_eig_batch(16, 1000));
 
   const bool deterministic = check_thread_invariance(96);
-  std::printf("thread-count determinism (1 vs 2 vs 4 workers, incl. batch/kron): %s\n",
+  std::printf("thread-count determinism (1 vs 2 vs 4 workers, incl. kron): %s\n",
               deterministic ? "bitwise identical" : "MISMATCH");
   const bool eig_n128_wins = speedup_eig_n128 >= 1.0;
 

@@ -4,7 +4,6 @@
 // sets the usable comb width per device.
 
 #include <cstdio>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "qfc/photonics/constants.hpp"
@@ -24,39 +23,25 @@ int main() {
   std::printf("%22s %12s %16s %14s %18s\n", "pump BW / linewidth", "purity",
               "Schmidt number", "entropy (bit)", "photon BW / pump");
 
-  // Sample the whole sweep first, then Schmidt-decompose every JSA in one
-  // batch call so the SVDs fan out across the linalg worker pool.
-  const std::vector<double> ratios = {0.05, 0.1, 0.25, 0.5, 1.0,
-                                      1.5,  2.0, 4.0,  8.0, 16.0};
-  std::vector<sfwm::JsaParams> params;
-  std::vector<linalg::CMat> jsas;
-  for (double ratio : ratios) {
+  double purity_narrow = 1, purity_matched = 0, bw_ratio_matched = 0;
+  bool purity_monotone = true;
+  double prev_purity = 0;
+  for (double ratio : {0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0}) {
     sfwm::JsaParams p;
     p.pump_bandwidth_hz = ratio * lw;
     p.ring_linewidth_s_hz = lw;
     p.ring_linewidth_i_hz = lw;
     p.grid_points = 96;
-    params.push_back(p);
-    jsas.push_back(sfwm::sample_jsa(p));
-  }
-  const auto results = sfwm::schmidt_decompose_batch(jsas);
-
-  double purity_narrow = 1, purity_matched = 0, bw_ratio_matched = 0;
-  bool purity_monotone = true;
-  double prev_purity = 0;
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    const double ratio = ratios[i];
-    const auto& r = results[i];
-    const double photon_bw = sfwm::marginal_fwhm_hz(params[i]);
+    const auto r = sfwm::schmidt_decompose(sfwm::sample_jsa(p));
+    const double photon_bw = sfwm::marginal_fwhm_hz(p);
     std::printf("%22.2f %12.3f %16.2f %14.3f %18.2f\n", ratio, r.purity,
-                r.schmidt_number, r.entropy_bits,
-                photon_bw / params[i].pump_bandwidth_hz);
+                r.schmidt_number, r.entropy_bits, photon_bw / p.pump_bandwidth_hz);
     if (r.purity < prev_purity - 0.02) purity_monotone = false;
     prev_purity = r.purity;
     if (ratio == 0.05) purity_narrow = r.purity;
     if (ratio == 1.0) {
       purity_matched = r.purity;
-      bw_ratio_matched = photon_bw / params[i].pump_bandwidth_hz;
+      bw_ratio_matched = photon_bw / p.pump_bandwidth_hz;
     }
   }
   std::printf("\npurity rises toward separability with pump bandwidth, but the\n"

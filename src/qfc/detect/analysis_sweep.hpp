@@ -36,7 +36,7 @@ namespace qfc::detect::analysis_detail {
 /// only on the data, never on the worker count.
 constexpr std::size_t kAnalysisChunkEvents = 16384;
 
-/// The detect pool (event_engine.cpp): the one cached process-wide pool,
+/// The detect pool (event_engine.cpp): a process-wide parallel::CachedPool,
 /// built lazily at the current set_analysis_threads request. Callers hold
 /// the shared_ptr for the whole call (the generator and the streaming
 /// accumulators for their whole lifetime), so a concurrent

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
@@ -414,24 +411,9 @@ namespace {
 
 // ----------------------------------------------------- detect worker pool
 
-std::mutex analysis_pool_mutex;
-std::shared_ptr<parallel::WorkerPool> analysis_pool_instance;
-
-unsigned initial_analysis_request() {
-  if (const char* env = std::getenv("QFC_ENGINE_ANALYSIS_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;  // auto
-}
-
-unsigned& analysis_request() {
-  static unsigned n = initial_analysis_request();
-  return n;
-}
-
-unsigned resolve_analysis_threads(unsigned requested) {
-  return requested > 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
+parallel::CachedPool& cached_analysis_pool() {
+  static parallel::CachedPool pool("QFC_ENGINE_ANALYSIS_THREADS");
+  return pool;
 }
 
 }  // namespace
@@ -439,11 +421,7 @@ unsigned resolve_analysis_threads(unsigned requested) {
 namespace analysis_detail {
 
 std::shared_ptr<parallel::WorkerPool> analysis_pool() {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  if (!analysis_pool_instance)
-    analysis_pool_instance = std::make_shared<parallel::WorkerPool>(
-        resolve_analysis_threads(analysis_request()));
-  return analysis_pool_instance;
+  return cached_analysis_pool().get();
 }
 
 std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, double reach,
@@ -498,21 +476,11 @@ std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, doubl
 
 }  // namespace analysis_detail
 
-void set_analysis_threads(unsigned n) {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  analysis_request() = n;
-  analysis_pool_instance.reset();  // rebuilt lazily at next use
-}
+void set_analysis_threads(unsigned n) { cached_analysis_pool().set_threads(n); }
 
-unsigned analysis_threads() {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  return resolve_analysis_threads(analysis_request());
-}
+unsigned analysis_threads() { return cached_analysis_pool().threads(); }
 
-unsigned analysis_thread_request() {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  return analysis_request();
-}
+unsigned analysis_thread_request() { return cached_analysis_pool().request(); }
 
 const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
   if (s >= num_signal || i >= num_idler)

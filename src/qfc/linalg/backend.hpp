@@ -1,36 +1,24 @@
 #pragma once
 
 /// \file backend.hpp
-/// Kernel-dispatch seam for the dense linear algebra every layer above
-/// bottoms out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
-/// `tomo::rrr_reconstruct`, and `quantum::measures`. Two backends ship:
+/// Kernel layer of the dense linear algebra every layer above bottoms out
+/// in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
+/// `tomo::rrr_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
+/// kron(), hermitian_eig(), svd() and the spectral matrix functions call
+/// the Blocked kernels directly: cache-blocked GEMM with SIMD
+/// micro-kernels, and round-robin ("chess tournament") parallel Jacobi eig /
+/// one-sided Jacobi SVD on the shared qfc::parallel::WorkerPool (see
+/// src/qfc/parallel/README.md). Every rotation round partitions the matrix
+/// into disjoint row/column pairs, so the task-to-thread assignment cannot
+/// change any floating-point operation order: results are bitwise identical
+/// for every thread count (the same determinism contract as
+/// detect::EventEngine).
 ///
-///  - Reference: the original hand-rolled single-threaded loops. Always
-///    available, exhaustively tested, the accuracy baseline.
-///  - Blocked: cache-blocked GEMM with a transposed-B micro-kernel, and
-///    round-robin ("chess tournament") parallel Jacobi eig / one-sided
-///    Jacobi SVD on the shared qfc::parallel::WorkerPool (see
-///    src/qfc/parallel/README.md). Every rotation round partitions
-///    the matrix into disjoint row/column pairs, so the task-to-thread
-///    assignment cannot change any floating-point operation order: results
-///    are bitwise identical for every thread count (the same determinism
-///    contract as detect::EventEngine).
-///
-/// Selection: set_default_backend() programmatically, or the
-/// QFC_LINALG_BACKEND environment variable ("reference" | "blocked"),
-/// consulted once at first dispatch. Mat<T>::operator*, hermitian_eig(),
-/// svd(), and the spectral matrix functions all route through the active
-/// backend, so consumers upgrade with zero call-site changes.
-///
-/// Adding a backend (e.g. BLAS/LAPACK): implement the Backend interface,
-/// add a BackendKind enumerator, register the instance in backend(kind) and
-/// the name in to_string()/parse_backend(). See src/qfc/linalg/README.md.
+/// The naive single-threaded Reference kernels stay as the parity and
+/// bench baseline, and reference_gemm / reference_kron are the Blocked
+/// kernels' below-cutoff fallbacks. See src/qfc/linalg/README.md.
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string_view>
-#include <vector>
 
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/matrix.hpp"
@@ -38,73 +26,13 @@
 
 namespace qfc::linalg {
 
-enum class BackendKind { Reference, Blocked };
-
 /// Options forwarded to the Hermitian eigensolver kernels.
 struct EigOptions {
   int max_sweeps = 64;
   bool want_vectors = true;
 };
 
-/// Abstract kernel set. Kernels assume pre-validated shapes (the public
-/// entry points in matrix.hpp / hermitian_eig.hpp / svd.hpp validate);
-/// eig kernels symmetrize their input, so round-off-level non-Hermiticity
-/// is tolerated.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  virtual const char* name() const noexcept = 0;
-
-  /// c = a * b; the caller provides c zero-initialized with conforming
-  /// shape (kernels may accumulate into it or overwrite it).
-  virtual void gemm(const RMat& a, const RMat& b, RMat& c) const = 0;
-  virtual void gemm(const CMat& a, const CMat& b, CMat& c) const = 0;
-
-  /// herk-style congruence v · diag(d) · v† — the rebuild step of every
-  /// spectral matrix function. Result is Hermitian to round-off.
-  virtual CMat scaled_congruence(const CMat& v, const RVec& d) const = 0;
-
-  virtual EigResult hermitian_eig(const CMat& a, const EigOptions& opt) const = 0;
-  virtual SvdResult svd(const CMat& a, int max_sweeps) const = 0;
-
-  /// Kronecker (tensor) product out = a ⊗ b; the caller provides `out`
-  /// sized (a.rows*b.rows) x (a.cols*b.cols). Every backend computes each
-  /// element with the single multiply a(i,j)*b(k,l), so kron results are
-  /// bitwise identical across backends and SIMD modes.
-  virtual void kron(const RMat& a, const RMat& b, RMat& out) const;
-  virtual void kron(const CMat& a, const CMat& b, CMat& out) const;
-
-  /// Batch-of-matrices kernels. Entry i of the result corresponds to input
-  /// i; dimensions may differ per entry (each matrix is an independent
-  /// problem). The base-class defaults are plain serial loops over the
-  /// per-matrix virtuals; the Blocked backend overrides them to fan out
-  /// *across* matrices on the shared worker pool with a fixed
-  /// matrix-to-task assignment (one task per index, results written to
-  /// per-index slots), so batch results are bitwise identical to the
-  /// per-matrix calls at any worker count.
-  virtual std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                                     const EigOptions& opt) const;
-  virtual std::vector<SvdResult> svd_batch(const std::vector<CMat>& as,
-                                           int max_sweeps) const;
-  virtual std::vector<CMat> gemm_batch(const std::vector<CMat>& as,
-                                       const std::vector<CMat>& bs) const;
-};
-
-/// Active default backend (initialized from QFC_LINALG_BACKEND, else
-/// Blocked — it wins on every benched kernel and dimension).
-/// set_default_backend overrides for the rest of the process.
-BackendKind default_backend();
-void set_default_backend(BackendKind kind);
-
-/// The active backend instance / a specific backend instance. Instances are
-/// stateless singletons; both remain valid for the process lifetime, so
-/// benches can time one against the other directly.
-const Backend& backend();
-const Backend& backend(BackendKind kind);
-
-const char* to_string(BackendKind kind);
-
-/// Worker threads used by the Blocked backend (0 = one per hardware thread,
+/// Worker threads used by the Blocked kernels (0 = one per hardware thread,
 /// the default; initial value also settable via QFC_LINALG_THREADS).
 /// Changing the count never changes results — only wall-clock.
 void set_backend_threads(unsigned n);
@@ -115,7 +43,7 @@ unsigned backend_threads();
 /// collapsing "auto" to a concrete count.
 unsigned backend_thread_request();
 
-/// SIMD policy of the Blocked backend (see src/qfc/linalg/README.md).
+/// SIMD policy of the Blocked kernels (see src/qfc/linalg/README.md).
 /// Vector micro-kernels (AVX2 on x86-64, runtime-dispatched) are used when
 /// the request is on AND the CPU supports them; the scalar fallback is
 /// always compiled in. Initial request comes from QFC_LINALG_SIMD
@@ -131,28 +59,13 @@ bool simd_enabled();
 /// The raw on/off request, ignoring CPU support (for save/restore).
 bool simd_request();
 
-/// Validated batch entry points, routed through the active backend like
-/// hermitian_eig()/svd()/operator*. Entry i of the result corresponds to
-/// input i; dimensions may differ per entry. Results are bitwise identical
-/// to the equivalent serial loop of per-matrix calls.
-std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                           const EigOptions& opt = {},
-                                           double hermiticity_tol = 1e-9);
-std::vector<RVec> hermitian_eigenvalues_batch(const std::vector<CMat>& as,
-                                              int max_sweeps = 64);
-std::vector<SvdResult> svd_batch(const std::vector<CMat>& as, int max_sweeps = 96);
-std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat>& bs);
-
 namespace detail {
-
-/// "reference" / "blocked" (case-insensitive) -> kind; nullopt otherwise.
-std::optional<BackendKind> parse_backend(std::string_view name);
 
 /// Complex Jacobi rotation parameters (c real, sp = sin·phase) for a pivot
 /// with diagonal entries app/aqq and off-diagonal apq of magnitude mag > 0.
-/// Single shared formula: every solver in every backend zeroes its pivot
-/// with exactly the same arithmetic, which is what the cross-backend 1e-10
-/// parity contract leans on.
+/// Single shared formula: the Reference and Blocked solvers zero their
+/// pivots with exactly the same arithmetic, which is what the 1e-10 parity
+/// contract between them leans on.
 struct JacobiParams {
   double c = 1.0;
   cplx sp{0, 0};
@@ -163,35 +76,30 @@ JacobiParams jacobi_params(double app, double aqq, cplx apq, double mag);
 double off_diag_norm2(const CMat& a);
 
 /// Nominal flop count of an m x k by k x n product (2mkn real; 4x for
-/// complex). Feeds the `linalg.<backend>.gemm.flops` obs counters.
+/// complex). Feeds the `linalg.<reference|blocked>.gemm.flops` obs counters.
 std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_complex);
 
 /// Nominal flop count of a kron with `out_elems` output elements (one
 /// multiply per element; 6 real flops for complex). Feeds the
-/// `linalg.<backend>.kron.flops` obs counters.
+/// `linalg.<reference|blocked>.kron.flops` obs counters.
 std::uint64_t kron_flops(std::size_t out_elems, bool is_complex);
-
-/// Run fn(i) for every i in [0, count) with one task per index on the
-/// Blocked backend's worker pool. The fixed index-to-task assignment plus
-/// disjoint per-index outputs make this bitwise deterministic at any worker
-/// count. Used by the Blocked batch kernels and by higher-level batch
-/// drivers (tomo, qudit, sfwm). Per-matrix kernels inside a task, and calls
-/// made from inside any threaded pool task, run inline (the WorkerPool
-/// nesting rule).
-void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
 
 /// Convergence threshold on off_diag_norm2 for an n x n Hermitian matrix of
 /// Frobenius norm `scale`.
 double jacobi_stop_threshold(double scale, std::size_t n);
 
-// Reference kernels: the original naive loops, kept as the always-available
-// baseline and as the small-dimension fallback of the Blocked backend.
+// Reference kernels: the original naive loops, kept as the parity and bench
+// baseline; reference_gemm / reference_kron are also the small-dimension
+// fallbacks of the Blocked kernels.
 void reference_gemm(const RMat& a, const RMat& b, RMat& c);
 void reference_gemm(const CMat& a, const CMat& b, CMat& c);
 EigResult reference_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult reference_svd(const CMat& a, int max_sweeps);
 void reference_kron(const RMat& a, const RMat& b, RMat& out);
 void reference_kron(const CMat& a, const CMat& b, CMat& out);
+/// Triple-loop V·diag(d)·V†, the test reference for the spectral-function
+/// rebuild.
+CMat reference_scaled_congruence(const CMat& v, const RVec& d);
 
 // Blocked kernels (blocked_backend.cpp).
 void blocked_gemm(const RMat& a, const RMat& b, RMat& c);
@@ -200,11 +108,6 @@ EigResult blocked_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult blocked_svd(const CMat& a, int max_sweeps);
 void blocked_kron(const RMat& a, const RMat& b, RMat& out);
 void blocked_kron(const CMat& a, const CMat& b, CMat& out);
-std::vector<EigResult> blocked_hermitian_eig_batch(const std::vector<CMat>& as,
-                                                   const EigOptions& opt);
-std::vector<SvdResult> blocked_svd_batch(const std::vector<CMat>& as, int max_sweeps);
-std::vector<CMat> blocked_gemm_batch(const std::vector<CMat>& as,
-                                     const std::vector<CMat>& bs);
 
 /// Shared eig finalization: read the (real) diagonal of the rotated matrix,
 /// sort descending, permute the accumulated eigenvector columns alongside.

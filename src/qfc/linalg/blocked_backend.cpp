@@ -1,7 +1,8 @@
-// Blocked backend kernels: SIMD (AVX2, runtime-dispatched) complex
-// micro-kernels feeding a planar-packed GEMM, cyclic/round-robin parallel
-// Jacobi eigendecomposition, one-sided Jacobi SVD, a cache-blocked kron,
-// and batch-of-matrices drivers on the shared qfc::parallel::WorkerPool
+// Blocked kernels, the one dispatch path behind operator*, kron,
+// hermitian_eig, svd and the spectral matrix functions: SIMD (AVX2,
+// runtime-dispatched) complex micro-kernels feeding a planar-packed GEMM,
+// cyclic/round-robin parallel Jacobi eigendecomposition, one-sided Jacobi
+// SVD and a cache-blocked kron on the shared qfc::parallel::WorkerPool
 // (see src/qfc/parallel/README.md and src/qfc/linalg/README.md).
 //
 // Determinism: every rotation round partitions the matrix into disjoint
@@ -9,9 +10,7 @@
 // other task of the round writes, and each GEMM/kron output element is
 // accumulated in a fixed order inside a single task. Thread count and
 // scheduling therefore cannot change any floating-point operation order —
-// results are bitwise identical from 1 thread to N. Batch kernels fan out
-// one task per matrix (disjoint result slots), so they inherit the same
-// guarantee.
+// results are bitwise identical from 1 thread to N.
 //
 // SIMD policy: the rotation-pair / column-rotation / kron row-scale kernels
 // replicate the scalar std::complex arithmetic operation-for-operation
@@ -28,10 +27,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,34 +62,9 @@ void count_blocked_kron(std::size_t out_elems, bool is_complex) {
 
 using parallel::WorkerPool;
 
-std::mutex pool_mutex;
-std::shared_ptr<WorkerPool> pool_instance;
-
-unsigned initial_thread_request() {
-  if (const char* env = std::getenv("QFC_LINALG_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;  // auto
-}
-
-unsigned& thread_request() {
-  static unsigned n = initial_thread_request();
-  return n;
-}
-
-unsigned resolve_threads(unsigned requested) {
-  return requested > 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Callers hold the returned shared_ptr for the duration of the kernel, so
-/// a concurrent set_backend_threads() swap cannot destroy a pool mid-run;
-/// concurrent runs on the same pool serialize inside WorkerPool::run.
-std::shared_ptr<WorkerPool> pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  if (!pool_instance)
-    pool_instance = std::make_shared<WorkerPool>(resolve_threads(thread_request()));
-  return pool_instance;
+parallel::CachedPool& pool() {
+  static parallel::CachedPool cached("QFC_LINALG_THREADS");
+  return cached;
 }
 
 /// True when a kernel entered from here may dispatch rounds to the pool:
@@ -101,10 +73,7 @@ std::shared_ptr<WorkerPool> pool() {
 /// crossover fix. Rounds a kernel dispatches from inside a threaded pool
 /// task run inline (the WorkerPool nesting rule), with the same chunk
 /// boundaries, so results are bitwise unaffected.
-bool use_pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return resolve_threads(thread_request()) > 1;
-}
+bool use_pool() { return pool().threads() > 1; }
 
 /// Run fn(task_index) for task_index in [0, count): on the pool when `wp`
 /// is non-null, inline (same index order) otherwise.
@@ -122,7 +91,7 @@ void run_tasks(const std::shared_ptr<WorkerPool>& wp, std::size_t count, Fn&& fn
 template <class Fn>
 void for_row_chunks(bool pooled, std::size_t n, std::size_t chunk, Fn&& fn) {
   if (pooled) {
-    const auto wp = pool();
+    const auto wp = pool().get();
     parallel::parallel_for_chunks(*wp, n, chunk, fn);
   } else {
     std::size_t c = 0;
@@ -721,21 +690,11 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
 
 // -------------------------------------------------------------- public API
 
-void set_backend_threads(unsigned n) {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  thread_request() = n;
-  pool_instance.reset();  // rebuilt lazily at the next kernel call
-}
+void set_backend_threads(unsigned n) { pool().set_threads(n); }
 
-unsigned backend_threads() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return resolve_threads(thread_request());
-}
+unsigned backend_threads() { return pool().threads(); }
 
-unsigned backend_thread_request() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return thread_request();
-}
+unsigned backend_thread_request() { return pool().request(); }
 
 void set_simd_enabled(bool on) {
   simd_request_slot().store(on, std::memory_order_relaxed);
@@ -803,7 +762,7 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
   std::vector<ColRot> active_cols;
   active_cols.reserve(m / 2);
   const std::size_t nchunks = (n + kEigRowChunk - 1) / kEigRowChunk;
-  const auto wp = use_pool() ? pool() : std::shared_ptr<WorkerPool>();
+  const auto wp = use_pool() ? pool().get() : std::shared_ptr<WorkerPool>();
 
   bool converged = false;
   for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
@@ -935,7 +894,7 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
     }
   } else {
     const std::size_t mp = n + (n & 1);
-    const auto wp = use_pool() ? pool() : std::shared_ptr<WorkerPool>();
+    const auto wp = use_pool() ? pool().get() : std::shared_ptr<WorkerPool>();
     std::atomic<bool> any_rotation{false};
     for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
       ++sweeps_done;
@@ -1000,8 +959,8 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
 // into its output block (scale_row — SIMD complex, bitwise-identical
 // product). Parallel over A rows; every output element is written by
 // exactly one task with the same single multiply as the inline template,
-// so results are bitwise identical across backends, SIMD modes, and
-// thread counts.
+// so results are bitwise identical to reference_kron across SIMD modes
+// and thread counts.
 
 template <class T>
 void blocked_kron_impl(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
@@ -1029,38 +988,6 @@ void blocked_kron(const RMat& a, const RMat& b, RMat& out) {
 void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
   count_blocked_kron(out.size(), true);
   blocked_kron_impl(a, b, out);
-}
-
-// ----------------------------------------------------------- batch drivers
-
-void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  // A single problem is a 1-task round: its kernel keeps the pool itself.
-  pool()->run(count, fn);
-}
-
-std::vector<EigResult> blocked_hermitian_eig_batch(const std::vector<CMat>& as,
-                                                   const EigOptions& opt) {
-  std::vector<EigResult> out(as.size());
-  parallel_batch(as.size(),
-                 [&](std::size_t i) { out[i] = blocked_hermitian_eig(as[i], opt); });
-  return out;
-}
-
-std::vector<SvdResult> blocked_svd_batch(const std::vector<CMat>& as, int max_sweeps) {
-  std::vector<SvdResult> out(as.size());
-  parallel_batch(as.size(),
-                 [&](std::size_t i) { out[i] = blocked_svd(as[i], max_sweeps); });
-  return out;
-}
-
-std::vector<CMat> blocked_gemm_batch(const std::vector<CMat>& as,
-                                     const std::vector<CMat>& bs) {
-  std::vector<CMat> out(as.size());
-  parallel_batch(as.size(), [&](std::size_t i) {
-    out[i] = CMat(as[i].rows(), bs[i].cols());
-    blocked_gemm(as[i], bs[i], out[i]);
-  });
-  return out;
 }
 
 }  // namespace detail

@@ -122,28 +122,28 @@ EigResult reference_hermitian_eig(const CMat& input, const EigOptions& opt) {
 
 }  // namespace detail
 
-// Public entry points: validate once, then dispatch to the active backend.
+// Public entry points: validate once, then run the Blocked kernel.
 
 EigResult hermitian_eig(const CMat& a, int max_sweeps, double hermiticity_tol) {
   a.require_square("hermitian_eig");
   if (!is_hermitian(a, hermiticity_tol))
     throw std::invalid_argument("hermitian_eig: input is not Hermitian");
-  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
   opt.want_vectors = true;
-  return backend().hermitian_eig(a, opt);
+  return detail::blocked_hermitian_eig(a, opt);
 }
 
 RVec hermitian_eigenvalues(const CMat& a, int max_sweeps) {
   a.require_square("hermitian_eig");
   if (!is_hermitian(a, 1e-9))
     throw std::invalid_argument("hermitian_eig: input is not Hermitian");
-  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
   opt.want_vectors = false;
-  return backend().hermitian_eig(a, opt).values;
+  return detail::blocked_hermitian_eig(a, opt).values;
 }
 
 }  // namespace qfc::linalg

@@ -11,8 +11,17 @@ namespace qfc::linalg {
 
 namespace {
 
-CMat rebuild(const EigResult& e, const RVec& mapped) {
-  return backend().scaled_congruence(e.vectors, mapped);
+/// V·diag(d)·V† from the eigenvectors of `e`: diag-scale the columns once,
+/// then one Blocked GEMM against V†. Hermitian to round-off.
+CMat rebuild(const EigResult& e, const RVec& d) {
+  const CMat& v = e.vectors;
+  const std::size_t n = d.size();
+  CMat w(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < n; ++k) w(i, k) = v(i, k) * d[k];
+  CMat out(n, n);
+  detail::blocked_gemm(w, v.adjoint(), out);
+  return out;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -158,6 +159,43 @@ void parallel_for_chunks(WorkerPool& pool, std::size_t n, std::size_t chunk_size
     const std::size_t begin = chunk * chunk_size;
     fn(chunk, begin, std::min(begin + chunk_size, n));
   });
+}
+
+namespace {
+
+unsigned resolve_threads(unsigned request) {
+  return request > 0 ? request : std::max(1u, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+CachedPool::CachedPool(const char* env_var) {
+  if (const char* env = std::getenv(env_var)) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) request_ = static_cast<unsigned>(v);
+  }
+}
+
+std::shared_ptr<WorkerPool> CachedPool::get() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!pool_) pool_ = std::make_shared<WorkerPool>(resolve_threads(request_));
+  return pool_;
+}
+
+void CachedPool::set_threads(unsigned n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  request_ = n;
+  pool_.reset();
+}
+
+unsigned CachedPool::threads() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return resolve_threads(request_);
+}
+
+unsigned CachedPool::request() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return request_;
 }
 
 }  // namespace qfc::parallel

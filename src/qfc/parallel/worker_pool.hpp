@@ -2,7 +2,7 @@
 
 /// \file worker_pool.hpp
 /// Persistent worker pool shared by every threaded subsystem: the Blocked
-/// linalg backend uses it for its parallel rotation rounds and GEMM row
+/// linalg kernels use it for their parallel rotation rounds and GEMM row
 /// chunks, detect for its per-channel generation fan-out and the sharded
 /// merge-sweep analysis kernels, qfc::sweep for its scenario fan-out. The
 /// pool also owns the one thread policy for nested layers (see run()). A
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -92,5 +93,29 @@ class WorkerPool {
 void parallel_for_chunks(WorkerPool& pool, std::size_t n, std::size_t chunk_size,
                          const std::function<void(std::size_t chunk, std::size_t begin,
                                                   std::size_t end)>& fn);
+
+/// A process-wide pool built lazily at first use and rebuilt after a
+/// re-size: the linalg and detect layers each own one. The thread request
+/// starts from the environment variable `env_var` (a positive integer; else
+/// 0 = auto, one thread per hardware thread). Callers hold the pool returned
+/// by get() for the duration of a kernel, so a concurrent set_threads()
+/// cannot destroy a pool mid-round; the old pool dies with its last user.
+class CachedPool {
+ public:
+  explicit CachedPool(const char* env_var);
+
+  std::shared_ptr<WorkerPool> get();
+  /// New thread request (0 = auto); the pool is rebuilt at the next get().
+  void set_threads(unsigned n);
+  /// The resolved thread count.
+  unsigned threads();
+  /// The raw request, 0 meaning auto (for save/restore).
+  unsigned request();
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<WorkerPool> pool_;
+  unsigned request_ = 0;
+};
 
 }  // namespace qfc::parallel

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/linalg/svd.hpp"
@@ -90,51 +89,6 @@ linalg::RVec schmidt_coefficients(const linalg::CVec& amps, std::size_t d1,
     for (std::size_t j = 0; j < d2; ++j) m(i, j) = amps[i * d2 + j];
   auto res = linalg::svd(m);
   return res.sigma;
-}
-
-// ------------------------------------------------------------------------
-// Batch variants: identical per-element arithmetic to the scalar metrics
-// above, with the spectral work routed through linalg's batch entry points.
-
-std::vector<double> von_neumann_entropy_bits_batch(const std::vector<linalg::CMat>& rhos) {
-  const auto evals = linalg::hermitian_eigenvalues_batch(rhos);
-  std::vector<double> out(rhos.size(), 0.0);
-  for (std::size_t i = 0; i < rhos.size(); ++i)
-    for (double v : evals[i])
-      if (v > 1e-14) out[i] -= v * std::log2(v);
-  return out;
-}
-
-std::vector<double> negativity_batch(const std::vector<linalg::CMat>& rhos,
-                                     std::size_t d1, std::size_t d2) {
-  std::vector<linalg::CMat> pts;
-  pts.reserve(rhos.size());
-  for (const auto& rho : rhos) pts.push_back(partial_transpose(rho, d1, d2));
-  const auto evals = linalg::hermitian_eigenvalues_batch(pts);
-  std::vector<double> out(rhos.size(), 0.0);
-  for (std::size_t i = 0; i < rhos.size(); ++i)
-    for (double v : evals[i])
-      if (v < 0) out[i] += -v;
-  return out;
-}
-
-std::vector<linalg::RVec> schmidt_coefficients_batch(
-    const std::vector<linalg::CVec>& amps, std::size_t d1, std::size_t d2) {
-  std::vector<linalg::CMat> ms;
-  ms.reserve(amps.size());
-  for (const auto& a : amps) {
-    if (d1 < 2 || d2 < 2 || d1 * d2 != a.size())
-      throw std::invalid_argument("schmidt_coefficients: bad bipartition");
-    linalg::CMat m(d1, d2);
-    for (std::size_t i = 0; i < d1; ++i)
-      for (std::size_t j = 0; j < d2; ++j) m(i, j) = a[i * d2 + j];
-    ms.push_back(std::move(m));
-  }
-  auto svds = linalg::svd_batch(ms);
-  std::vector<linalg::RVec> out;
-  out.reserve(svds.size());
-  for (auto& s : svds) out.push_back(std::move(s.sigma));
-  return out;
 }
 
 // ------------------------------------------------------------------------

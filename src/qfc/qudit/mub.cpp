@@ -1,11 +1,9 @@
 #include "qfc/qudit/mub.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/photonics/constants.hpp"
 #include "qfc/quantum/measures.hpp"
@@ -250,21 +248,6 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
                    core.iterations, core.converged, core.log_likelihood,
                    core.final_update_norm};
   return res;
-}
-
-std::vector<MubMleResult> mub_maximum_likelihood_batch(
-    const std::vector<std::vector<MubSettingCounts>>& datasets, std::size_t d,
-    std::size_t num_particles, const tomo::MleOptions& opts) {
-  // MubMleResult holds a DDensityMatrix (no default constructor), so build
-  // into optionals and unwrap once every slot is filled.
-  std::vector<std::optional<MubMleResult>> slots(datasets.size());
-  linalg::detail::parallel_batch(datasets.size(), [&](std::size_t i) {
-    slots[i] = mub_maximum_likelihood(datasets[i], d, num_particles, opts);
-  });
-  std::vector<MubMleResult> out;
-  out.reserve(slots.size());
-  for (auto& s : slots) out.push_back(std::move(*s));
-  return out;
 }
 
 }  // namespace qfc::qudit

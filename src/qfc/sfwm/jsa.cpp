@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/svd.hpp"
 #include "qfc/photonics/microring.hpp"
 
@@ -83,17 +82,6 @@ SchmidtResult schmidt_from_sigma(linalg::RVec sigma) {
 
 SchmidtResult schmidt_decompose(const CMat& jsa) {
   return schmidt_from_sigma(linalg::svd(normalized_jsa(jsa)).sigma);
-}
-
-std::vector<SchmidtResult> schmidt_decompose_batch(const std::vector<CMat>& jsas) {
-  std::vector<CMat> normed;
-  normed.reserve(jsas.size());
-  for (const auto& jsa : jsas) normed.push_back(normalized_jsa(jsa));
-  auto svds = linalg::svd_batch(normed);
-  std::vector<SchmidtResult> out;
-  out.reserve(svds.size());
-  for (auto& s : svds) out.push_back(schmidt_from_sigma(std::move(s.sigma)));
-  return out;
 }
 
 double heralded_purity(double pump_bandwidth_hz, double ring_linewidth_hz,

@@ -39,12 +39,6 @@ struct SchmidtResult {
 /// normalized internally).
 SchmidtResult schmidt_decompose(const linalg::CMat& jsa);
 
-/// Batch Schmidt decomposition: element i equals schmidt_decompose(jsas[i])
-/// bitwise, but all SVDs go through the linalg batch seam in one call so
-/// the Blocked backend fans them out across its worker pool. Use for
-/// pump-bandwidth / linewidth ablation sweeps.
-std::vector<SchmidtResult> schmidt_decompose_batch(const std::vector<linalg::CMat>& jsas);
-
 /// Heralded-photon spectral purity for an SFWM source whose pump bandwidth
 /// and (equal) resonance linewidths are given — convenience wrapper around
 /// sample_jsa + schmidt_decompose.

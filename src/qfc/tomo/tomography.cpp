@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/error.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/photonics/constants.hpp"
@@ -283,21 +282,6 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
   res.log_likelihood = ll;
   res.rho = std::move(rho);
   return res;
-}
-
-std::vector<RrrResult> rrr_reconstruct_batch(
-    const std::vector<std::vector<ProjectorTerm>>& problems,
-    const std::vector<linalg::CMat>& seeds, const MleOptions& opts) {
-  if (problems.size() != seeds.size())
-    throw std::invalid_argument("rrr_reconstruct_batch: problem/seed count mismatch");
-  std::vector<RrrResult> out(problems.size());
-  // One pool task per reconstruction (disjoint result slots), each running
-  // its iterations with the linalg kernels forced inline — bitwise equal to
-  // the serial loop at any worker count.
-  linalg::detail::parallel_batch(problems.size(), [&](std::size_t i) {
-    out[i] = rrr_reconstruct(problems[i], seeds[i], opts);
-  });
-  return out;
 }
 
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,

@@ -108,21 +108,10 @@ struct RrrResult {
 /// term's state must have length dim (std::invalid_argument otherwise).
 ///
 /// The T terms with nonzero count are packed once into Φ (T × dim, row t =
-/// ψ_t†). Per iteration the cost is two dim×T GEMMs through the linalg
-/// seam — B = Φ·ρ, whose rows give p_t = ψ_t†ρψ_t, and R = Σ_t w_t |ψ_t⟩⟨ψ_t|
+/// ψ_t†). Per iteration the cost is two dim×T Blocked GEMMs — B = Φ·ρ, whose rows give p_t = ψ_t†ρψ_t, and R = Σ_t w_t |ψ_t⟩⟨ψ_t|
 /// = Φ†·diag(w)·Φ — plus O(T·dim) for the probabilities and weights and
 /// the dim³ product R·ρ·R.
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const linalg::CMat& seed, const MleOptions& opts = {});
-
-/// Batch RρR: element i equals rrr_reconstruct(problems[i], seeds[i], opts)
-/// bitwise, but independent reconstructions fan out across the linalg
-/// worker pool (one task per problem, fixed assignment — see the batch
-/// contract in src/qfc/linalg/README.md). The R·ρ·R products *inside* one
-/// iteration are data-dependent and stay sequential; this parallelizes
-/// across problems, the shape of a tomography sweep.
-std::vector<RrrResult> rrr_reconstruct_batch(
-    const std::vector<std::vector<ProjectorTerm>>& problems,
-    const std::vector<linalg::CMat>& seeds, const MleOptions& opts = {});
 
 }  // namespace qfc::tomo

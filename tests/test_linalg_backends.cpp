@@ -1,10 +1,11 @@
-// Backend parity and determinism tests for the linalg kernel-dispatch seam:
-// the Blocked backend must match the Reference backend (eigenvalues,
-// singular values, GEMM entries, reconstructions) to 1e-10 on seeded random
-// inputs, and must be bitwise invariant across worker-thread counts.
+// Parity and determinism tests for the linalg kernels: the public entry
+// points (operator*, kron, hermitian_eig, svd, the spectral matrix
+// functions), which run the Blocked kernels, must match the naive
+// detail::reference_* kernels (eigenvalues, singular values, GEMM entries,
+// reconstructions) to 1e-10 on seeded random inputs, and must be bitwise
+// invariant across worker-thread counts.
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -17,14 +18,12 @@
 
 namespace {
 
-using qfc::linalg::Backend;
-using qfc::linalg::backend;
-using qfc::linalg::BackendKind;
 using qfc::linalg::CMat;
 using qfc::linalg::cplx;
 using qfc::linalg::EigOptions;
 using qfc::linalg::RMat;
 using qfc::linalg::RVec;
+namespace detail = qfc::linalg::detail;
 
 CMat random_matrix(std::size_t r, std::size_t c, unsigned seed) {
   std::mt19937 g(seed);
@@ -50,64 +49,24 @@ RMat random_real(std::size_t r, std::size_t c, unsigned seed) {
 
 double max_abs_diff(const CMat& a, const CMat& b) { return (a - b).max_abs(); }
 
-/// Restores the default backend and thread request on scope exit so tests
-/// cannot leak configuration into each other (or clobber an operator's
-/// QFC_LINALG_THREADS setting).
+/// Restores the thread request on scope exit so tests cannot leak it into
+/// each other (or clobber an operator's QFC_LINALG_THREADS setting).
 struct BackendGuard {
-  BackendKind kind = qfc::linalg::default_backend();
   unsigned threads = qfc::linalg::backend_thread_request();
-  ~BackendGuard() {
-    qfc::linalg::set_default_backend(kind);
-    qfc::linalg::set_backend_threads(threads);
-  }
+  ~BackendGuard() { qfc::linalg::set_backend_threads(threads); }
 };
-
-// ------------------------------------------------------------- dispatch
-
-TEST(BackendDispatch, NamesAndSelection) {
-  BackendGuard guard;
-  EXPECT_STREQ(backend(BackendKind::Reference).name(), "reference");
-  EXPECT_STREQ(backend(BackendKind::Blocked).name(), "blocked");
-  EXPECT_STREQ(qfc::linalg::to_string(BackendKind::Blocked), "blocked");
-
-  qfc::linalg::set_default_backend(BackendKind::Blocked);
-  EXPECT_EQ(qfc::linalg::default_backend(), BackendKind::Blocked);
-  EXPECT_STREQ(backend().name(), "blocked");
-}
-
-TEST(BackendDispatch, ParsesEnvStyleNames) {
-  using qfc::linalg::detail::parse_backend;
-  EXPECT_EQ(parse_backend("reference"), BackendKind::Reference);
-  EXPECT_EQ(parse_backend("REF"), BackendKind::Reference);
-  EXPECT_EQ(parse_backend("Blocked"), BackendKind::Blocked);
-  EXPECT_EQ(parse_backend("lapack"), std::nullopt);
-  EXPECT_EQ(parse_backend(""), std::nullopt);
-}
-
-TEST(BackendDispatch, OperatorStarRoutesThroughActiveBackend) {
-  BackendGuard guard;
-  const CMat a = random_matrix(60, 44, 11);
-  const CMat b = random_matrix(44, 52, 12);
-  qfc::linalg::set_default_backend(BackendKind::Reference);
-  const CMat ref = a * b;
-  qfc::linalg::set_default_backend(BackendKind::Blocked);
-  const CMat blk = a * b;
-  EXPECT_LT(max_abs_diff(ref, blk), 1e-10);
-}
 
 // ---------------------------------------------------------------- GEMM
 
 TEST(BackendParity, GemmComplex) {
-  const auto& ref = backend(BackendKind::Reference);
-  const auto& blk = backend(BackendKind::Blocked);
   // Spans the naive-fallback cutoff and odd shapes on both sides of it.
   const std::size_t shapes[][3] = {{8, 8, 8}, {33, 47, 29}, {70, 50, 90}, {128, 64, 128}};
   for (const auto& s : shapes) {
     const CMat a = random_matrix(s[0], s[1], 100 + static_cast<unsigned>(s[0]));
     const CMat b = random_matrix(s[1], s[2], 200 + static_cast<unsigned>(s[2]));
-    CMat cr(s[0], s[2]), cb(s[0], s[2]);
-    ref.gemm(a, b, cr);
-    blk.gemm(a, b, cb);
+    CMat cr(s[0], s[2]);
+    detail::reference_gemm(a, b, cr);
+    const CMat cb = a * b;
     EXPECT_LT(max_abs_diff(cr, cb), 1e-10) << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
@@ -115,9 +74,9 @@ TEST(BackendParity, GemmComplex) {
 TEST(BackendParity, GemmReal) {
   const RMat a = random_real(65, 80, 5);
   const RMat b = random_real(80, 77, 6);
-  RMat cr(65, 77), cb(65, 77);
-  backend(BackendKind::Reference).gemm(a, b, cr);
-  backend(BackendKind::Blocked).gemm(a, b, cb);
+  RMat cr(65, 77);
+  detail::reference_gemm(a, b, cr);
+  const RMat cb = a * b;
   EXPECT_LT((cr - cb).max_abs(), 1e-10);
 }
 
@@ -127,8 +86,8 @@ TEST(BackendParity, HermitianEigValuesAndReconstruction) {
   const EigOptions opt;
   for (const std::size_t n : {24u, 48u, 96u}) {
     const CMat a = random_hermitian(n, 300 + static_cast<unsigned>(n));
-    const auto er = backend(BackendKind::Reference).hermitian_eig(a, opt);
-    const auto eb = backend(BackendKind::Blocked).hermitian_eig(a, opt);
+    const auto er = detail::reference_hermitian_eig(a, opt);
+    const auto eb = qfc::linalg::hermitian_eig(a);
     ASSERT_EQ(er.values.size(), n);
     ASSERT_EQ(eb.values.size(), n);
     for (std::size_t i = 0; i < n; ++i)
@@ -136,7 +95,7 @@ TEST(BackendParity, HermitianEigValuesAndReconstruction) {
 
     // Eigenvectors are only unique up to phase/degenerate mixing; compare
     // the reconstruction V diag(λ) V† instead.
-    const CMat rec = backend(BackendKind::Blocked).scaled_congruence(eb.vectors, eb.values);
+    const CMat rec = detail::reference_scaled_congruence(eb.vectors, eb.values);
     EXPECT_LT(max_abs_diff(rec, a), 1e-10) << "n=" << n;
     EXPECT_TRUE(qfc::linalg::is_unitary(eb.vectors, 1e-10)) << "n=" << n;
   }
@@ -146,8 +105,8 @@ TEST(BackendParity, EigenvaluesOnlyPathMatches) {
   const CMat a = random_hermitian(64, 7);
   EigOptions no_vec;
   no_vec.want_vectors = false;
-  const auto vr = backend(BackendKind::Reference).hermitian_eig(a, no_vec).values;
-  const auto vb = backend(BackendKind::Blocked).hermitian_eig(a, no_vec).values;
+  const auto vr = detail::reference_hermitian_eig(a, no_vec).values;
+  const auto vb = qfc::linalg::hermitian_eigenvalues(a);
   for (std::size_t i = 0; i < vr.size(); ++i) EXPECT_NEAR(vr[i], vb[i], 1e-10);
 }
 
@@ -158,8 +117,8 @@ TEST(BackendParity, SvdRectangular) {
   const std::size_t shapes[][2] = {{64, 48}, {48, 64}, {60, 60}};
   for (const auto& s : shapes) {
     const CMat a = random_matrix(s[0], s[1], 400 + static_cast<unsigned>(s[0]));
-    const auto sr = backend(BackendKind::Reference).svd(a, 96);
-    const auto sb = backend(BackendKind::Blocked).svd(a, 96);
+    const auto sr = detail::reference_svd(a, 96);
+    const auto sb = qfc::linalg::svd(a, 96);
     ASSERT_EQ(sr.sigma.size(), sb.sigma.size());
     for (std::size_t i = 0; i < sr.sigma.size(); ++i)
       EXPECT_NEAR(sr.sigma[i], sb.sigma[i], 1e-10) << s[0] << "x" << s[1] << " i=" << i;
@@ -168,8 +127,7 @@ TEST(BackendParity, SvdRectangular) {
     CMat us = sb.u;
     for (std::size_t i = 0; i < us.rows(); ++i)
       for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= sb.sigma[j];
-    CMat rec(a.rows(), a.cols());
-    backend(BackendKind::Blocked).gemm(us, sb.v.adjoint(), rec);
+    const CMat rec = us * sb.v.adjoint();
     EXPECT_LT(max_abs_diff(rec, a), 1e-10) << s[0] << "x" << s[1];
   }
 }
@@ -177,12 +135,16 @@ TEST(BackendParity, SvdRectangular) {
 // ------------------------------------------------- scaled congruence
 
 TEST(BackendParity, ScaledCongruence) {
+  // hermitian_function rebuilds V·f(Λ)·V† with one Blocked GEMM; the
+  // reference triple loop on the same eigenpairs must agree.
   const std::size_t n = 72;
-  const CMat v = backend(BackendKind::Reference).hermitian_eig(random_hermitian(n, 9), {}).vectors;
+  const CMat a = random_hermitian(n, 9);
+  const auto f = [](double x) { return std::sin(0.3 * x); };
+  const auto e = qfc::linalg::hermitian_eig(a);
   RVec d(n);
-  for (std::size_t i = 0; i < n; ++i) d[i] = std::sin(0.3 * static_cast<double>(i + 1));
-  const CMat r = backend(BackendKind::Reference).scaled_congruence(v, d);
-  const CMat b = backend(BackendKind::Blocked).scaled_congruence(v, d);
+  for (std::size_t i = 0; i < n; ++i) d[i] = f(e.values[i]);
+  const CMat r = detail::reference_scaled_congruence(e.vectors, d);
+  const CMat b = qfc::linalg::hermitian_function(a, f);
   EXPECT_LT(max_abs_diff(r, b), 1e-10);
   // Hermitian to round-off (the (i,j)/(j,i) triple products round
   // independently, so bitwise symmetry is not guaranteed — same as the
@@ -198,21 +160,18 @@ TEST(BackendDeterminism, BitwiseIdenticalAcrossThreadCounts) {
   const CMat r = random_matrix(96, 56, 22);
   const CMat ga = random_matrix(90, 70, 23);
   const CMat gb = random_matrix(70, 85, 24);
-  const auto& blk = backend(BackendKind::Blocked);
 
   qfc::linalg::set_backend_threads(1);
-  const auto eig1 = blk.hermitian_eig(h, {});
-  const auto svd1 = blk.svd(r, 96);
-  CMat gemm1(90, 85);
-  blk.gemm(ga, gb, gemm1);
+  const auto eig1 = qfc::linalg::hermitian_eig(h);
+  const auto svd1 = qfc::linalg::svd(r, 96);
+  const CMat gemm1 = ga * gb;
 
   for (const unsigned threads : {2u, 4u}) {
     qfc::linalg::set_backend_threads(threads);
     EXPECT_EQ(qfc::linalg::backend_threads(), threads);
-    const auto eig = blk.hermitian_eig(h, {});
-    const auto svd = blk.svd(r, 96);
-    CMat gemm(90, 85);
-    blk.gemm(ga, gb, gemm);
+    const auto eig = qfc::linalg::hermitian_eig(h);
+    const auto svd = qfc::linalg::svd(r, 96);
+    const CMat gemm = ga * gb;
 
     // Bitwise, not approximate: operator== compares every scalar exactly.
     EXPECT_EQ(eig1.values, eig.values) << threads << " threads";
@@ -228,27 +187,23 @@ TEST(BackendDeterminism, BlockedKernelsUnchangedAfterPoolRelocation) {
   // Regression pin for the WorkerPool move from src/qfc/linalg/ to the
   // shared src/qfc/parallel/ module (and the GEMM fan-out's switch to
   // parallel::parallel_for_chunks): on fresh seeded inputs, the Blocked
-  // kernels must still match Reference to 1e-10 and stay bitwise invariant
+  // kernels must still match the reference to 1e-10 and stay bitwise invariant
   // from 1 worker to many, including a worker count that does not divide
   // the row-chunk count.
   BackendGuard guard;
   const CMat h = random_hermitian(56, 71);
   const CMat a = random_matrix(83, 61, 72);
   const CMat b = random_matrix(61, 77, 73);
-  const auto& blk = backend(BackendKind::Blocked);
-  const auto& ref = backend(BackendKind::Reference);
 
   qfc::linalg::set_backend_threads(1);
-  const auto eig1 = blk.hermitian_eig(h, {});
-  const auto svd1 = blk.svd(a, 96);
-  CMat gemm1(83, 77);
-  blk.gemm(a, b, gemm1);
+  const auto eig1 = qfc::linalg::hermitian_eig(h);
+  const auto svd1 = qfc::linalg::svd(a, 96);
+  const CMat gemm1 = a * b;
 
   qfc::linalg::set_backend_threads(5);
-  const auto eig5 = blk.hermitian_eig(h, {});
-  const auto svd5 = blk.svd(a, 96);
-  CMat gemm5(83, 77);
-  blk.gemm(a, b, gemm5);
+  const auto eig5 = qfc::linalg::hermitian_eig(h);
+  const auto svd5 = qfc::linalg::svd(a, 96);
+  const CMat gemm5 = a * b;
 
   EXPECT_EQ(eig1.values, eig5.values);
   EXPECT_EQ(eig1.vectors, eig5.vectors);
@@ -256,59 +211,41 @@ TEST(BackendDeterminism, BlockedKernelsUnchangedAfterPoolRelocation) {
   EXPECT_EQ(svd1.u, svd5.u);
   EXPECT_EQ(gemm1, gemm5);
 
-  const auto eig_ref = ref.hermitian_eig(h, {});
+  const auto eig_ref = detail::reference_hermitian_eig(h, {});
   for (std::size_t i = 0; i < eig_ref.values.size(); ++i)
     EXPECT_NEAR(eig_ref.values[i], eig1.values[i], 1e-10);
   CMat gemm_ref(83, 77);
-  ref.gemm(a, b, gemm_ref);
+  detail::reference_gemm(a, b, gemm_ref);
   EXPECT_LT(max_abs_diff(gemm_ref, gemm1), 1e-10);
 }
 
 // ------------------------------------------------- consumers stay green
 
 TEST(BackendIntegration, MatrixFunctionsUnderBlockedBackend) {
-  BackendGuard guard;
-  qfc::linalg::set_default_backend(BackendKind::Blocked);
   const std::size_t n = 48;
-  CMat a = random_hermitian(n, 31);
-  CMat aa(n, n);
-  backend().gemm(a, a, aa);  // a² is PSD with a well-defined square root
+  const CMat a = random_hermitian(n, 31);
+  const CMat aa = a * a;  // a² is PSD with a well-defined square root
   const CMat root = qfc::linalg::sqrtm_psd(aa);
-  CMat square(n, n);
-  backend().gemm(root, root, square);
+  const CMat square = root * root;
   EXPECT_LT(max_abs_diff(square, aa), 1e-8);
 }
 
 TEST(BackendIntegration, ValidationStillAppliesUnderBlockedBackend) {
-  BackendGuard guard;
-  qfc::linalg::set_default_backend(BackendKind::Blocked);
   CMat not_hermitian = random_matrix(50, 50, 41);
   EXPECT_THROW(qfc::linalg::hermitian_eig(not_hermitian), std::invalid_argument);
   EXPECT_THROW(qfc::linalg::svd(CMat()), std::invalid_argument);
-}
-
-// --------------------------------------------------------- default backend
-
-TEST(BackendDispatch, ProcessDefaultIsBlocked) {
-  // Blocked wins on every benched kernel and dimension (see
-  // BENCH_linalg.json), so it is the process default. QFC_LINALG_BACKEND
-  // still overrides — skip the pin when the environment sets it.
-  if (std::getenv("QFC_LINALG_BACKEND") == nullptr) {
-    EXPECT_EQ(qfc::linalg::default_backend(), BackendKind::Blocked);
-  }
 }
 
 // ------------------------------------------------------------------ kron
 
 TEST(BackendParity, KronBitwiseAcrossBackendsAndInlinePath) {
   // The kron micro-kernel is in the bitwise SIMD tier: Blocked must equal
-  // Reference exactly, which in turn equals the inline matrix.hpp loop.
+  // the reference exactly, which in turn equals the inline matrix.hpp loop.
   const CMat a = random_matrix(12, 9, 501);
   const CMat b = random_matrix(10, 14, 502);
-  CMat kr(120, 126), kb(120, 126);
-  backend(BackendKind::Reference).kron(a, b, kr);
-  backend(BackendKind::Blocked).kron(a, b, kb);
-  EXPECT_EQ(kr, kb);
+  CMat kr(120, 126);
+  detail::reference_kron(a, b, kr);
+  EXPECT_EQ(kr, qfc::linalg::kron(a, b));
 
   CMat inline_loop(a.rows() * b.rows(), a.cols() * b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -320,19 +257,16 @@ TEST(BackendParity, KronBitwiseAcrossBackendsAndInlinePath) {
 
   const RMat ra = random_real(11, 7, 503);
   const RMat rb = random_real(9, 13, 504);
-  RMat rr(99, 91), rbk(99, 91);
-  backend(BackendKind::Reference).kron(ra, rb, rr);
-  backend(BackendKind::Blocked).kron(ra, rb, rbk);
-  EXPECT_EQ(rr, rbk);
+  RMat rr(99, 91);
+  detail::reference_kron(ra, rb, rr);
+  EXPECT_EQ(rr, qfc::linalg::kron(ra, rb));
 }
 
 TEST(BackendParity, KronDispatchCutoffIsSeamless) {
-  // linalg::kron switches from the inline loop to the backend seam above
+  // linalg::kron switches from the inline loop to the Blocked kernel above
   // 1024 output elements; results on both sides of the cutoff must equal
-  // the direct definition bitwise (the seam kernels share its arithmetic).
-  BackendGuard guard;
-  qfc::linalg::set_default_backend(BackendKind::Blocked);
-  for (const std::size_t nb : {8u, 9u}) {  // 4·4·8·8 = 1024 (inline), 1152 (seam)
+  // the direct definition bitwise (the kernel shares its arithmetic).
+  for (const std::size_t nb : {8u, 9u}) {  // 4·4·8·8 = 1024 (inline), 1152 (Blocked)
     const CMat a = random_matrix(4, 4, 510);
     const CMat b = random_matrix(8, nb, 511 + static_cast<unsigned>(nb));
     const CMat out = qfc::linalg::kron(a, b);
@@ -342,123 +276,6 @@ TEST(BackendParity, KronDispatchCutoffIsSeamless) {
           for (std::size_t l = 0; l < b.cols(); ++l)
             ASSERT_EQ(out(i * b.rows() + k, j * b.cols() + l), a(i, j) * b(k, l))
                 << "nb=" << nb;
-  }
-}
-
-// ----------------------------------------------------------------- batch
-
-TEST(BackendBatch, EigBatchMatchesPerMatrixBitwise) {
-  const EigOptions opt;
-  std::vector<CMat> as;
-  for (unsigned i = 0; i < 12; ++i) as.push_back(random_hermitian(16, 600 + i));
-  const auto& blk = backend(BackendKind::Blocked);
-  const auto batch = blk.hermitian_eig_batch(as, opt);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const auto single = blk.hermitian_eig(as[i], opt);
-    EXPECT_EQ(single.values, batch[i].values) << "i=" << i;
-    EXPECT_EQ(single.vectors, batch[i].vectors) << "i=" << i;
-    const auto ref = backend(BackendKind::Reference).hermitian_eig(as[i], opt);
-    for (std::size_t k = 0; k < ref.values.size(); ++k)
-      EXPECT_NEAR(ref.values[k], batch[i].values[k], 1e-10) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, SvdBatchMatchesPerMatrixBitwise) {
-  std::vector<CMat> as;
-  for (unsigned i = 0; i < 8; ++i) as.push_back(random_matrix(20, 14, 640 + i));
-  const auto& blk = backend(BackendKind::Blocked);
-  const auto batch = blk.svd_batch(as, 96);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const auto single = blk.svd(as[i], 96);
-    EXPECT_EQ(single.sigma, batch[i].sigma) << "i=" << i;
-    EXPECT_EQ(single.u, batch[i].u) << "i=" << i;
-    EXPECT_EQ(single.v, batch[i].v) << "i=" << i;
-    const auto ref = backend(BackendKind::Reference).svd(as[i], 96);
-    for (std::size_t k = 0; k < ref.sigma.size(); ++k)
-      EXPECT_NEAR(ref.sigma[k], batch[i].sigma[k], 1e-10) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, GemmBatchMatchesPerMatrix) {
-  std::vector<CMat> as, bs;
-  for (unsigned i = 0; i < 6; ++i) {
-    as.push_back(random_matrix(10 + i, 8, 660 + i));
-    bs.push_back(random_matrix(8, 12 + i, 680 + i));
-  }
-  const auto& blk = backend(BackendKind::Blocked);
-  const auto batch = blk.gemm_batch(as, bs);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    CMat single(as[i].rows(), bs[i].cols());
-    blk.gemm(as[i], bs[i], single);
-    EXPECT_EQ(single, batch[i]) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, EmptyAndMixedDimensionBatches) {
-  const auto& blk = backend(BackendKind::Blocked);
-  EXPECT_TRUE(blk.hermitian_eig_batch({}, {}).empty());
-  EXPECT_TRUE(blk.svd_batch({}, 96).empty());
-  EXPECT_TRUE(blk.gemm_batch({}, {}).empty());
-
-  // Mixed dimensions in one batch: each element follows its own shape.
-  std::vector<CMat> as = {random_hermitian(4, 700), random_hermitian(17, 701),
-                          random_hermitian(48, 702)};
-  const auto eig = blk.hermitian_eig_batch(as, {});
-  ASSERT_EQ(eig.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(eig[i].values.size(), as[i].rows()) << "i=" << i;
-    const CMat rec = blk.scaled_congruence(eig[i].vectors, eig[i].values);
-    EXPECT_LT(max_abs_diff(rec, as[i]), 1e-10) << "i=" << i;
-  }
-
-  std::vector<CMat> rect = {random_matrix(6, 10, 710), random_matrix(30, 12, 711)};
-  const auto svds = blk.svd_batch(rect, 96);
-  ASSERT_EQ(svds.size(), 2u);
-  EXPECT_EQ(svds[0].sigma.size(), 6u);
-  EXPECT_EQ(svds[1].sigma.size(), 12u);
-}
-
-TEST(BackendBatch, FreeFunctionsValidate) {
-  // The free entry points validate like their scalar counterparts.
-  std::vector<CMat> bad = {random_matrix(8, 8, 720)};  // not Hermitian
-  EXPECT_THROW(qfc::linalg::hermitian_eig_batch(bad), std::invalid_argument);
-  std::vector<CMat> as = {random_matrix(4, 5, 721)};
-  std::vector<CMat> bs = {random_matrix(6, 3, 722)};  // inner-dim mismatch
-  EXPECT_THROW(qfc::linalg::gemm_batch(as, bs), std::invalid_argument);
-}
-
-TEST(BackendBatch, BitwiseIdenticalAcrossThreadCounts) {
-  BackendGuard guard;
-  std::vector<CMat> hs, rects, gas, gbs;
-  for (unsigned i = 0; i < 10; ++i) {
-    hs.push_back(random_hermitian(16, 800 + i));
-    rects.push_back(random_matrix(12, 9, 820 + i));
-    gas.push_back(random_matrix(11, 7, 840 + i));
-    gbs.push_back(random_matrix(7, 13, 860 + i));
-  }
-  const auto& blk = backend(BackendKind::Blocked);
-
-  qfc::linalg::set_backend_threads(1);
-  const auto eig1 = blk.hermitian_eig_batch(hs, {});
-  const auto svd1 = blk.svd_batch(rects, 96);
-  const auto gemm1 = blk.gemm_batch(gas, gbs);
-
-  for (const unsigned threads : {2u, 4u}) {
-    qfc::linalg::set_backend_threads(threads);
-    const auto eig = blk.hermitian_eig_batch(hs, {});
-    const auto svd = blk.svd_batch(rects, 96);
-    const auto gemm = blk.gemm_batch(gas, gbs);
-    for (std::size_t i = 0; i < hs.size(); ++i) {
-      EXPECT_EQ(eig1[i].values, eig[i].values) << threads << " threads, i=" << i;
-      EXPECT_EQ(eig1[i].vectors, eig[i].vectors) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].sigma, svd[i].sigma) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].u, svd[i].u) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].v, svd[i].v) << threads << " threads, i=" << i;
-      EXPECT_EQ(gemm1[i], gemm[i]) << threads << " threads, i=" << i;
-    }
   }
 }
 
@@ -480,19 +297,16 @@ TEST(BackendSimd, EigAndKronBitwiseAcrossSimdModes) {
   const CMat hs = random_hermitian(24, 901);    // cyclic path
   const CMat ka = random_matrix(10, 10, 902);
   const CMat kb = random_matrix(12, 12, 903);
-  const auto& blk = backend(BackendKind::Blocked);
 
   qfc::linalg::set_simd_enabled(false);
-  const auto eig_off = blk.hermitian_eig(h, {});
-  const auto eig_small_off = blk.hermitian_eig(hs, {});
-  CMat kron_off(120, 120);
-  blk.kron(ka, kb, kron_off);
+  const auto eig_off = qfc::linalg::hermitian_eig(h);
+  const auto eig_small_off = qfc::linalg::hermitian_eig(hs);
+  const CMat kron_off = qfc::linalg::kron(ka, kb);
 
   qfc::linalg::set_simd_enabled(true);
-  const auto eig_on = blk.hermitian_eig(h, {});
-  const auto eig_small_on = blk.hermitian_eig(hs, {});
-  CMat kron_on(120, 120);
-  blk.kron(ka, kb, kron_on);
+  const auto eig_on = qfc::linalg::hermitian_eig(h);
+  const auto eig_small_on = qfc::linalg::hermitian_eig(hs);
+  const CMat kron_on = qfc::linalg::kron(ka, kb);
 
   EXPECT_EQ(eig_off.values, eig_on.values);
   EXPECT_EQ(eig_off.vectors, eig_on.vectors);
@@ -504,26 +318,27 @@ TEST(BackendSimd, EigAndKronBitwiseAcrossSimdModes) {
 TEST(BackendSimd, GemmAndSvdStayWithinToleranceAcrossSimdModes) {
   // Policy pin: the planar-FMA GEMM and the vectorized SVD Gram reductions
   // reorder accumulation, so they carry the relaxed 1e-10 contract (the
-  // small-GEMM axpy path below the cutoff stays bitwise).
+  // small-GEMM axpy path below the cutoff stays bitwise). operator* keeps
+  // 8x8 products on its inline loop, so the axpy path — which the
+  // spectral-function rebuild of small matrices takes — is called directly.
   SimdGuard guard;
   const CMat a = random_matrix(48, 48, 910);
   const CMat b = random_matrix(48, 48, 911);
   const CMat small_a = random_matrix(8, 8, 912);
   const CMat small_b = random_matrix(8, 8, 913);
   const CMat r = random_matrix(40, 32, 914);
-  const auto& blk = backend(BackendKind::Blocked);
 
   qfc::linalg::set_simd_enabled(false);
-  CMat gemm_off(48, 48), small_off(8, 8);
-  blk.gemm(a, b, gemm_off);
-  blk.gemm(small_a, small_b, small_off);
-  const auto svd_off = blk.svd(r, 96);
+  const CMat gemm_off = a * b;
+  CMat small_off(8, 8);
+  detail::blocked_gemm(small_a, small_b, small_off);
+  const auto svd_off = qfc::linalg::svd(r, 96);
 
   qfc::linalg::set_simd_enabled(true);
-  CMat gemm_on(48, 48), small_on(8, 8);
-  blk.gemm(a, b, gemm_on);
-  blk.gemm(small_a, small_b, small_on);
-  const auto svd_on = blk.svd(r, 96);
+  const CMat gemm_on = a * b;
+  CMat small_on(8, 8);
+  detail::blocked_gemm(small_a, small_b, small_on);
+  const auto svd_on = qfc::linalg::svd(r, 96);
 
   EXPECT_LT(max_abs_diff(gemm_off, gemm_on), 1e-10);
   EXPECT_EQ(small_off, small_on);  // axpy path: bitwise even with SIMD
@@ -538,8 +353,8 @@ TEST(BackendSimd, BlockedMatchesReferenceWithSimdDisabled) {
   SimdGuard guard;
   qfc::linalg::set_simd_enabled(false);
   const CMat h = random_hermitian(24, 920);
-  const auto er = backend(BackendKind::Reference).hermitian_eig(h, {});
-  const auto eb = backend(BackendKind::Blocked).hermitian_eig(h, {});
+  const auto er = detail::reference_hermitian_eig(h, {});
+  const auto eb = qfc::linalg::hermitian_eig(h);
   EXPECT_EQ(er.values, eb.values);
   EXPECT_EQ(er.vectors, eb.vectors);
 }

@@ -16,7 +16,6 @@
 
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/streaming.hpp"
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
@@ -362,36 +361,43 @@ TEST(Obs, WorkerPoolRecordsBusyNsAndRounds) {
 
 TEST(Obs, LinalgKernelCountersAndFlops) {
   ObsStateGuard guard;
-  const linalg::BackendKind saved = linalg::default_backend();
-  linalg::set_default_backend(linalg::BackendKind::Reference);
   obs::enable_metrics(true);
 
-  // 32x32 real product: above matrix.hpp's tiny-product inline cutoff, so
-  // it reaches the dispatched reference kernel. Nominal flops = 2 n^3.
-  const std::size_t n = 32;
-  linalg::RMat a(n, n), b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = static_cast<double>(i + 2 * j);
-      b(i, j) = static_cast<double>(i) - static_cast<double>(j);
-    }
-  const linalg::RMat c = a * b;
-  ASSERT_EQ(c.rows(), n);
+  // n x n real products past matrix.hpp's tiny-product inline cutoff reach
+  // the Blocked GEMM, which bills the kernel that actually runs: at or
+  // below kGemmFlopCutoff (48^3) its reference fallback, above it itself.
+  // Nominal flops = 2 n^3.
+  const auto square_product = [](std::size_t n) {
+    linalg::RMat a(n, n), b(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        a(i, j) = static_cast<double>(i + 2 * j);
+        b(i, j) = static_cast<double>(i) - static_cast<double>(j);
+      }
+    return a * b;
+  };
+  ASSERT_EQ(square_product(32).rows(), 32u);
   EXPECT_EQ(obs::counter("linalg.reference.gemm.calls").value(), 1u);
-  EXPECT_EQ(obs::counter("linalg.reference.gemm.flops").value(), 2ull * n * n * n);
+  EXPECT_EQ(obs::counter("linalg.reference.gemm.flops").value(), 2ull * 32 * 32 * 32);
+  EXPECT_EQ(obs::counter("linalg.blocked.gemm.calls").value(), 0u);
 
-  // A Hermitian eigensolve books calls/sweeps/rotations.
+  ASSERT_EQ(square_product(64).rows(), 64u);
+  EXPECT_EQ(obs::counter("linalg.reference.gemm.calls").value(), 1u);
+  EXPECT_EQ(obs::counter("linalg.blocked.gemm.calls").value(), 1u);
+  EXPECT_EQ(obs::counter("linalg.blocked.gemm.flops").value(), 2ull * 64 * 64 * 64);
+
+  // A Hermitian eigensolve books calls/sweeps/rotations on the Blocked
+  // eig (below its cyclic cutoff it runs its own cyclic sweep).
   linalg::CMat h(8, 8);
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < 8; ++j)
       h(i, j) = linalg::cplx(1.0 / (1.0 + static_cast<double>(i + j)),
                              i == j ? 0.0 : 0.1 * (static_cast<double>(i) - static_cast<double>(j)));
   (void)linalg::hermitian_eig(h);
-  EXPECT_EQ(obs::counter("linalg.reference.eig.calls").value(), 1u);
-  EXPECT_GT(obs::counter("linalg.reference.eig.sweeps").value(), 0u);
-  EXPECT_GT(obs::counter("linalg.reference.eig.rotations").value(), 0u);
-
-  linalg::set_default_backend(saved);
+  EXPECT_EQ(obs::counter("linalg.blocked.eig.calls").value(), 1u);
+  EXPECT_GT(obs::counter("linalg.blocked.eig.sweeps").value(), 0u);
+  EXPECT_GT(obs::counter("linalg.blocked.eig.rotations").value(), 0u);
+  EXPECT_EQ(obs::counter("linalg.reference.eig.calls").value(), 0u);
 }
 
 TEST(Obs, EnablingObsNeverChangesEngineResults) {

@@ -1,13 +1,14 @@
 // Tests for the shared qfc::parallel module: WorkerPool task execution,
 // exception propagation, round reuse, the nesting rule (rounds nested in a
 // threaded round run inline), and the deterministic parallel_for_chunks
-// boundaries the threaded subsystems (linalg Blocked backend, detect, sweep)
+// boundaries the threaded subsystems (linalg Blocked kernels, detect, sweep)
 // lean on. ctest runs this binary under a TIMEOUT: a broken nesting rule
 // deadlocks instead of failing.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <latch>
 #include <mutex>
 #include <numeric>
@@ -23,6 +24,7 @@
 
 namespace {
 
+using qfc::parallel::CachedPool;
 using qfc::parallel::parallel_for_chunks;
 using qfc::parallel::WorkerPool;
 
@@ -222,6 +224,36 @@ TEST(WorkerPoolNesting, NestedRoundRecordsNoObsEvents) {
   EXPECT_EQ(rounds, 1u);
   EXPECT_EQ(tasks, 2u);
   EXPECT_EQ(count_occurrences(trace, "\"pool.run\""), 1u) << trace;
+}
+
+// ------------------------------------------------------------ CachedPool
+
+TEST(CachedPool, EnvSeedsTheRequestAndSetThreadsRebuilds) {
+  ::setenv("QFC_TEST_CACHED_POOL_THREADS", "3", 1);
+  CachedPool cached("QFC_TEST_CACHED_POOL_THREADS");
+  EXPECT_EQ(cached.request(), 3u);
+  EXPECT_EQ(cached.threads(), 3u);
+  const auto first = cached.get();
+  EXPECT_EQ(first->size(), 3u);
+  EXPECT_EQ(cached.get(), first);  // cached until re-sized
+
+  cached.set_threads(2);
+  EXPECT_EQ(cached.request(), 2u);
+  const auto second = cached.get();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->size(), 2u);
+  EXPECT_EQ(first->size(), 3u);  // a held pool outlives the re-size
+
+  cached.set_threads(0);  // auto: one thread per hardware thread
+  EXPECT_EQ(cached.request(), 0u);
+  EXPECT_GE(cached.threads(), 1u);
+}
+
+TEST(CachedPool, NonPositiveOrMissingEnvMeansAuto) {
+  ::setenv("QFC_TEST_CACHED_POOL_BAD", "-2", 1);
+  EXPECT_EQ(CachedPool("QFC_TEST_CACHED_POOL_BAD").request(), 0u);
+  ::unsetenv("QFC_TEST_CACHED_POOL_UNSET");
+  EXPECT_EQ(CachedPool("QFC_TEST_CACHED_POOL_UNSET").request(), 0u);
 }
 
 }  // namespace

@@ -322,34 +322,4 @@ TEST(Fock, InvalidArgumentsThrow) {
   EXPECT_THROW(annihilation_matrix(1), std::invalid_argument);
 }
 
-// ------------------------------------------------------ batch sweep seams
-
-TEST(MeasuresBatch, MatchScalarMetricsBitwise) {
-  // The batch variants route the spectral work through linalg's batch entry
-  // points, which are bitwise identical to the per-matrix calls — so the
-  // derived metrics must be exactly equal, not just close.
-  std::vector<CMat> rhos;
-  for (double v : {1.0, 0.8, 0.5, 0.2, 0.0})
-    rhos.push_back(werner_phi(v).matrix());
-
-  const auto entropies = von_neumann_entropy_bits_batch(rhos);
-  const auto negs = negativity_batch(rhos, 2, 2);
-  ASSERT_EQ(entropies.size(), rhos.size());
-  ASSERT_EQ(negs.size(), rhos.size());
-  for (std::size_t i = 0; i < rhos.size(); ++i) {
-    EXPECT_EQ(entropies[i], von_neumann_entropy_bits(rhos[i])) << "i=" << i;
-    EXPECT_EQ(negs[i], negativity(rhos[i], 2, 2)) << "i=" << i;
-  }
-
-  const std::vector<CVec> amps = {bell_phi().amplitudes(), bell_psi().amplitudes()};
-  const auto schmidt = schmidt_coefficients_batch(amps, 2, 2);
-  ASSERT_EQ(schmidt.size(), amps.size());
-  for (std::size_t i = 0; i < amps.size(); ++i)
-    EXPECT_EQ(schmidt[i], schmidt_coefficients(amps[i], 2, 2)) << "i=" << i;
-
-  EXPECT_TRUE(von_neumann_entropy_bits_batch({}).empty());
-  std::vector<CVec> bad = {CVec(5)};
-  EXPECT_THROW(schmidt_coefficients_batch(bad, 2, 2), std::invalid_argument);
-}
-
 }  // namespace

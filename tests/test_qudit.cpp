@@ -447,37 +447,4 @@ TEST(Mub, TomographyRecoversEntangledQutritPair) {
   EXPECT_GT(negativity(mle.rho, 1), 0.5);
 }
 
-// ------------------------------------------------------ batch sweep seams
-
-TEST(Cglmp, BatchMatchesScalarBitwise) {
-  const DState phi3 = DState::maximally_entangled(3);
-  std::vector<DDensityMatrix> rhos;
-  for (double v : {1.0, 0.9, 0.7, 0.5, 0.1}) rhos.push_back(isotropic_noise(phi3, v));
-  const auto batch = cglmp_values(rhos);
-  ASSERT_EQ(batch.size(), rhos.size());
-  for (std::size_t i = 0; i < rhos.size(); ++i)
-    EXPECT_EQ(batch[i], cglmp_value(rhos[i])) << "i=" << i;
-  EXPECT_TRUE(cglmp_values({}).empty());
-}
-
-TEST(Mub, MleBatchMatchesScalarBitwise) {
-  const DState phi = DState::maximally_entangled(3);
-  qfc::rng::Xoshiro256 g(123);
-  std::vector<std::vector<MubSettingCounts>> datasets;
-  for (double v : {0.95, 0.8})
-    datasets.push_back(simulate_mub_counts(isotropic_noise(phi, v), 20000, g));
-
-  qfc::tomo::MleOptions opts;
-  opts.convergence_tol = 1e-6;
-  const auto batch = mub_maximum_likelihood_batch(datasets, 3, 2, opts);
-  ASSERT_EQ(batch.size(), datasets.size());
-  for (std::size_t i = 0; i < datasets.size(); ++i) {
-    const auto single = mub_maximum_likelihood(datasets[i], 3, 2, opts);
-    EXPECT_EQ(single.iterations, batch[i].iterations) << "i=" << i;
-    EXPECT_EQ(single.converged, batch[i].converged) << "i=" << i;
-    EXPECT_EQ(single.log_likelihood, batch[i].log_likelihood) << "i=" << i;
-    EXPECT_EQ(single.rho.matrix(), batch[i].rho.matrix()) << "i=" << i;
-  }
-}
-
 }  // namespace
