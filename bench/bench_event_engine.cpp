@@ -127,8 +127,10 @@ double ms_since(Clock::time_point t0) {
 
 /// Legacy path: per-channel streams through the single-stream kernels
 /// (same fork-per-channel and per-stage sub-stream seeding as the engine,
-/// so the streams match), then n x n pairwise measure_car re-scans of the
-/// full click vectors.
+/// and its composition: the pair kernel draws detected photons at
+/// transmission x efficiency, a detector at efficiency 1 jitters them and
+/// adds darks, so the streams match), then n x n pairwise measure_car
+/// re-scans of the full click vectors.
 std::vector<detect::CarResult> legacy_car_matrix(
     const std::vector<detect::ChannelPairSpec>& specs, double duration_s) {
   const std::size_t n = specs.size();
@@ -142,13 +144,16 @@ std::vector<detect::CarResult> legacy_car_matrix(
     p.pair_rate_hz = specs[c].pair_rate_hz;
     p.linewidth_hz = specs[c].linewidth_hz;
     p.duration_s = duration_s;
-    p.transmission_a = specs[c].transmission_signal;
-    p.transmission_b = specs[c].transmission_idler;
+    p.transmission_a = specs[c].transmission_signal * specs[c].detector_signal.efficiency;
+    p.transmission_b = specs[c].transmission_idler * specs[c].detector_idler.efficiency;
     const auto photons = detect::generate_pair_arrivals(p, r.pair);
-    sig[c] = detect::SinglePhotonDetector(specs[c].detector_signal)
-                 .detect(photons.a, no_extra_darks, duration_s, r.det_a, r.dark_a);
-    idl[c] = detect::SinglePhotonDetector(specs[c].detector_idler)
-                 .detect(photons.b, no_extra_darks, duration_s, r.det_b, r.dark_b);
+    detect::DetectorParams det_a = specs[c].detector_signal;
+    detect::DetectorParams det_b = specs[c].detector_idler;
+    det_a.efficiency = det_b.efficiency = 1.0;
+    sig[c] = detect::SinglePhotonDetector(det_a).detect(photons.a, no_extra_darks,
+                                                        duration_s, r.det_a, r.dark_a);
+    idl[c] = detect::SinglePhotonDetector(det_b).detect(photons.b, no_extra_darks,
+                                                        duration_s, r.det_b, r.dark_b);
   }
   std::vector<detect::CarResult> cells;
   cells.reserve(n * n);

@@ -3,13 +3,15 @@
 // Shared helpers for the reproduction benches. Each bench prints a header
 // naming the paper claim, the regenerated rows, and a PASS/CHECK verdict on
 // the claim's "shape" (see EXPERIMENTS.md). The perf benches additionally
-// emit one shared machine-readable JSON envelope ({bench, mode, rows, ...})
-// so their BENCH_*.json trajectories stay schema-compatible run over run.
+// emit one shared machine-readable JSON envelope ({bench, mode, host_cores,
+// rows, ...}) so their BENCH_*.json trajectories stay schema-compatible run
+// over run and say what host recorded them.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bench {
@@ -76,9 +78,12 @@ inline Flags parse_flags(int argc, char** argv, const char* default_json) {
   return f;
 }
 
-/// Write the shared JSON envelope. `rows` are pre-rendered JSON objects
-/// (no trailing commas); `extra` holds zero or more pre-rendered top-level
-/// members (e.g. "\"deterministic\": true") appended after the rows array.
+/// Write the shared JSON envelope. `host_cores` is the recording host's
+/// hardware thread count (std::thread::hardware_concurrency, 0 = unknown):
+/// thread-scaling rows mean nothing without it. `rows` are pre-rendered JSON
+/// objects (no trailing commas); `extra` holds zero or more pre-rendered
+/// top-level members (e.g. "\"deterministic\": true") appended after the
+/// rows array.
 inline void write_json(const std::string& path, const char* bench_name, bool smoke,
                        const std::vector<std::string>& rows,
                        const std::vector<std::string>& extra = {}) {
@@ -88,8 +93,10 @@ inline void write_json(const std::string& path, const char* bench_name, bool smo
     std::printf("could not write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n  \"rows\": [\n",
-               bench_name, smoke ? "smoke" : "full");
+  std::fprintf(f,
+               "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n  \"host_cores\": %u,\n"
+               "  \"rows\": [\n",
+               bench_name, smoke ? "smoke" : "full", std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i)
     std::fprintf(f, "    %s%s\n", rows[i].c_str(), i + 1 < rows.size() ? "," : "");
   std::fprintf(f, "  ]");

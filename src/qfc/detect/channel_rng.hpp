@@ -12,8 +12,14 @@
 ///
 ///   1 pair emission      2 bg signal        3 bg idler
 ///   4 pw bg signal       5 pw bg idler
-///   6 det signal         7 darks signal     8 pw darks signal
-///   9 det idler         10 darks idler     11 pw darks idler
+///   6 jitter signal      7 darks signal     8 pw darks signal
+///   9 jitter idler      10 darks idler     11 pw darks idler
+///
+/// Stream 1 draws each surviving pair: its gap, Laplace delay and class
+/// (both arms, signal only, idler only; event_stream.cpp). The detector
+/// efficiency is folded into that class draw and into the background rates
+/// (engine_plan.hpp), so streams 6 and 9 carry one jitter draw per detected
+/// photon and nothing else.
 ///
 /// Because every stage owns its own stream, pausing one stage at a window
 /// boundary cannot shift the draws of any other stage — a one-window
@@ -28,15 +34,15 @@
 namespace qfc::detect::detail {
 
 struct ChannelRngs {
-  rng::Xoshiro256 pair;      ///< emission kernel (all modes)
+  rng::Xoshiro256 pair;      ///< emission kernel incl. pair classes (all modes)
   rng::Xoshiro256 bg_a;      ///< spec-level homogeneous background, signal
   rng::Xoshiro256 bg_b;      ///< spec-level homogeneous background, idler
   rng::Xoshiro256 pwbg_a;    ///< piecewise background segments, signal
   rng::Xoshiro256 pwbg_b;    ///< piecewise background segments, idler
-  rng::Xoshiro256 det_a;     ///< detector efficiency + jitter, signal
+  rng::Xoshiro256 det_a;     ///< detector jitter, signal
   rng::Xoshiro256 dark_a;    ///< detector homogeneous darks, signal
   rng::Xoshiro256 pwdark_a;  ///< piecewise dark segments, signal
-  rng::Xoshiro256 det_b;     ///< detector efficiency + jitter, idler
+  rng::Xoshiro256 det_b;     ///< detector jitter, idler
   rng::Xoshiro256 dark_b;    ///< detector homogeneous darks, idler
   rng::Xoshiro256 pwdark_b;  ///< piecewise dark segments, idler
 };

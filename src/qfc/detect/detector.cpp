@@ -47,9 +47,18 @@ std::vector<double> SinglePhotonDetector::detect(const std::vector<double>& arri
   if (!std::is_sorted(extra_darks.begin(), extra_darks.end()))
     throw std::invalid_argument("detect: extra dark clicks unsorted");
 
+  // Efficiency thinning, skipped (no draws) at efficiency 1.
+  std::vector<double> detected;
+  const std::vector<double>* photons = &arrivals;
+  if (params_.efficiency < 1) {
+    for (const double t : arrivals)
+      if (t >= 0 && t < duration_s && rng::sample_bernoulli(g_photon, params_.efficiency))
+        detected.push_back(t);
+    photons = &detected;
+  }
   std::vector<double> clicks;
-  detail::detect_photons(arrivals.data(), arrivals.data() + arrivals.size(), params_,
-                         duration_s, g_photon, clicks);
+  detail::detect_photons(photons->data(), photons->data() + photons->size(),
+                         params_.jitter_sigma_s, duration_s, g_photon, clicks);
   std::vector<double> darks;
   if (params_.dark_rate_hz > 0)
     darks = generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
@@ -60,12 +69,11 @@ std::vector<double> SinglePhotonDetector::detect(const std::vector<double>& arri
 
 namespace detail {
 
-void detect_photons(const double* begin, const double* end, const DetectorParams& params,
+void detect_photons(const double* begin, const double* end, double jitter_sigma_s,
                     double duration_s, rng::Xoshiro256& g, std::vector<double>& clicks) {
   for (const double* t = begin; t != end; ++t) {
     if (*t < 0 || *t >= duration_s) continue;
-    if (!rng::sample_bernoulli(g, params.efficiency)) continue;
-    const double jittered = *t + rng::sample_normal(g, 0.0, params.jitter_sigma_s);
+    const double jittered = *t + rng::sample_normal(g, 0.0, jitter_sigma_s);
     if (jittered >= 0 && jittered < duration_s) clicks.push_back(jittered);
   }
   // Photon clicks are nearly sorted already (jitter is tiny vs typical

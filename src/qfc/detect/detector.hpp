@@ -34,8 +34,8 @@ class SinglePhotonDetector {
   const DetectorParams& params() const noexcept { return params_; }
 
   /// Turn true photon arrival times (seconds, unsorted OK) into detector
-  /// click timestamps over [0, duration): applies efficiency, adds dark
-  /// counts, jitters, sorts, and applies dead time.
+  /// click timestamps over [0, duration): thins by efficiency, jitters, adds
+  /// dark counts, sorts, and applies dead time.
   std::vector<double> detect(const std::vector<double>& photon_arrivals_s,
                              double duration_s, rng::Xoshiro256& g) const;
 
@@ -48,12 +48,15 @@ class SinglePhotonDetector {
                              const std::vector<double>& extra_dark_clicks_s,
                              double duration_s, rng::Xoshiro256& g) const;
 
-  /// Core overload with split randomness: the photon pass (efficiency +
-  /// jitter draws) consumes `g_photon` and the internal dark-count pass
-  /// consumes `g_dark`. The single-generator overloads alias one generator
-  /// into both roles, which reproduces their historical draw sequence
-  /// exactly (photon draws first, then darks); the event engine gives each
-  /// pass its own forked stream so the two can be windowed independently.
+  /// Core overload with split randomness: the photon pass consumes
+  /// `g_photon` — first one efficiency Bernoulli per in-run photon, then one
+  /// jitter draw per survivor — and the internal dark-count pass consumes
+  /// `g_dark`. The single-generator overloads alias one generator into both
+  /// roles (photon draws first, then darks). At efficiency 1 the thinning
+  /// draws nothing, so the photon pass is exactly the event engine's
+  /// jitter-only stage: the engine folds efficiency into the pair sampler's
+  /// transmissions (event_stream.hpp) and gives each pass its own forked
+  /// stream, so the two can be windowed independently.
   std::vector<double> detect(const std::vector<double>& photon_arrivals_s,
                              const std::vector<double>& extra_dark_clicks_s,
                              double duration_s, rng::Xoshiro256& g_photon,
@@ -77,12 +80,13 @@ constexpr double kNoClickYet = -1e18;
 /// the whole run) and the event engine (one call per window and arm, with
 /// the state carried across windows): detect() is the one-window case.
 ///
-/// detect_photons passes the photons [begin, end), in that order, through
-/// the efficiency + jitter front end and appends every click that lands
-/// inside [0, duration_s) to `clicks`, then sorts `clicks` again if jitter
-/// swapped neighbors (usually a no-op probe). The jitter draw happens only
-/// when the efficiency Bernoulli succeeds.
-void detect_photons(const double* begin, const double* end, const DetectorParams& params,
+/// detect_photons jitters the detected photons [begin, end), in that order
+/// (one normal draw per photon inside [0, duration_s), none for the rest),
+/// and appends every click that lands inside [0, duration_s) to `clicks`,
+/// then sorts `clicks` again if jitter swapped neighbors (usually a no-op
+/// probe). Efficiency is not applied here: the caller passes photons that
+/// are already thinned.
+void detect_photons(const double* begin, const double* end, double jitter_sigma_s,
                     double duration_s, rng::Xoshiro256& g, std::vector<double>& clicks);
 
 /// finalize_clicks merges the sorted photon clicks [begin, end) with the

@@ -2,9 +2,10 @@
 
 /// \file engine_plan.hpp
 /// Internal: the event engine's one generation path. ChannelPlan holds the
-/// validated sampler parameters of a ChannelPairSpec; ClickGenerator runs
-/// every channel's stages (emission, backgrounds, detection, darks, dead
-/// time) window by window on the per-stage sub-streams of channel_rng.hpp.
+/// validated sampler parameters of a ChannelPairSpec, in detected photons;
+/// ClickGenerator runs every channel's stages (emission, backgrounds,
+/// jitter, darks, dead time) window by window on the per-stage sub-streams
+/// of channel_rng.hpp.
 /// EventEngine::run is a single window to the end of the run and
 /// EventStreamer::next one window each, so batch and streaming output are
 /// the same code at different window lengths. Not installed API; include
@@ -26,23 +27,39 @@ class WorkerPool;
 namespace qfc::detect::detail {
 
 /// Per-channel generation plan, fully validated before any parallel work.
+/// Everything in it is in *detected* photons: make_plan folds each arm's
+/// detector efficiency into the sampler's per-arm transmission and into the
+/// spec-level and piecewise background rates, so the samplers draw only
+/// photons that click and the detector stage is jitter alone.
 struct ChannelPlan {
   EmissionMode mode = EmissionMode::Cw;
   PairStreamParams cw;
   PulsedStreamParams pulsed;
-  PiecewiseStreamParams piecewise;
+  PiecewiseStreamParams piecewise;  ///< segment backgrounds already thinned
+  double bg_a = 0;  ///< detected spec-level background rate, signal arm
+  double bg_b = 0;  ///< detected spec-level background rate, idler arm
 };
 
+/// Expects validated detectors (make_checked_plan checks them first).
 inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
+  if (spec.transmission_signal < 0 || spec.transmission_signal > 1 ||
+      spec.transmission_idler < 0 || spec.transmission_idler > 1)
+    throw std::invalid_argument("ChannelPairSpec: transmission outside [0,1]");
+  const double eff_a = spec.detector_signal.efficiency;
+  const double eff_b = spec.detector_idler.efficiency;
+  const double eta_a = spec.transmission_signal * eff_a;
+  const double eta_b = spec.transmission_idler * eff_b;
   ChannelPlan plan;
   plan.mode = spec.emission;
+  plan.bg_a = spec.background_rate_signal_hz * eff_a;
+  plan.bg_b = spec.background_rate_idler_hz * eff_b;
   switch (spec.emission) {
     case EmissionMode::Cw:
       plan.cw.pair_rate_hz = spec.pair_rate_hz;
       plan.cw.linewidth_hz = spec.linewidth_hz;
       plan.cw.duration_s = duration_s;
-      plan.cw.transmission_a = spec.transmission_signal;
-      plan.cw.transmission_b = spec.transmission_idler;
+      plan.cw.transmission_a = eta_a;
+      plan.cw.transmission_b = eta_b;
       plan.cw.validate();
       break;
     case EmissionMode::Pulsed:
@@ -57,8 +74,8 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.pulsed.late_fraction = spec.pulsed.late_fraction;
       plan.pulsed.linewidth_hz = spec.linewidth_hz;
       plan.pulsed.duration_s = duration_s;
-      plan.pulsed.transmission_a = spec.transmission_signal;
-      plan.pulsed.transmission_b = spec.transmission_idler;
+      plan.pulsed.transmission_a = eta_a;
+      plan.pulsed.transmission_b = eta_b;
       plan.pulsed.validate();
       break;
     case EmissionMode::PiecewiseRates:
@@ -69,9 +86,13 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.piecewise.segments = spec.segments;
       plan.piecewise.linewidth_hz = spec.linewidth_hz;
       plan.piecewise.duration_s = duration_s;
-      plan.piecewise.transmission_a = spec.transmission_signal;
-      plan.piecewise.transmission_b = spec.transmission_idler;
+      plan.piecewise.transmission_a = eta_a;
+      plan.piecewise.transmission_b = eta_b;
       plan.piecewise.validate();
+      for (RateSegment& seg : plan.piecewise.segments) {
+        seg.background_rate_signal_hz *= eff_a;
+        seg.background_rate_idler_hz *= eff_b;
+      }
       break;
   }
   return plan;
@@ -86,10 +107,9 @@ inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duratio
   try {
     if (spec.background_rate_signal_hz < 0 || spec.background_rate_idler_hz < 0)
       throw std::invalid_argument("ChannelPairSpec: negative background rate");
-    ChannelPlan plan = make_plan(spec, duration_s);
     spec.detector_signal.validate();
     spec.detector_idler.validate();
-    return plan;
+    return make_plan(spec, duration_s);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("channel " + std::to_string(channel) + ": " + e.what());
   }

@@ -100,10 +100,12 @@ std::uint64_t count_below(std::vector<double>::const_iterator first,
 }  // namespace
 
 /// One detector arm: its stages (each a sampler on its own stream) and the
-/// photon clicks carried past the last click watermark.
+/// photon clicks carried past the last click watermark. Its photons are
+/// detected ones already (ChannelPlan), so the detection stream draws
+/// jitter only.
 struct ClickGenerator::Arm {
   DetectorParams det;
-  double bg_rate_hz = 0;
+  double bg_rate_hz = 0;  ///< detected spec-level background rate
   double RateSegment::*pwbg_rate = nullptr;    ///< this arm's schedule background
   double RateSegment::*pwdark_rate = nullptr;  ///< this arm's schedule darks
   rng::Xoshiro256 g_bg, g_pwbg, g_det, g_dark, g_pwdark;
@@ -111,7 +113,7 @@ struct ClickGenerator::Arm {
   std::vector<double> clicks;
   double dead_last = kNoClickYet;
 
-  /// Detect this arm's sorted `arrivals` below `theta` (carried ones plus
+  /// Jitter this arm's sorted `arrivals` below `theta` (carried ones plus
   /// fresh pairs; backgrounds are merged in here), then finalize its clicks
   /// below `until_s`. Concatenated over windows, the photon pass visits the
   /// arrivals in the order of a single window, so the detection stream's
@@ -138,7 +140,9 @@ struct ClickGenerator::Arm {
     }
     const auto split = std::lower_bound(arrivals.begin(), arrivals.end(), theta);
     violations += count_below(arrivals.begin(), split, prev_theta);
-    detect_photons(arrivals.data(), arrivals.data() + (split - arrivals.begin()), det,
+    const auto photons = static_cast<std::size_t>(split - arrivals.begin());
+    if (obs::metrics_enabled()) obs::counter("engine.events_generated").add(photons);
+    detect_photons(arrivals.data(), arrivals.data() + photons, det.jitter_sigma_s,
                    duration_s, g_det, clicks);
     if (last)
       std::vector<double>().swap(arrivals);
@@ -207,7 +211,7 @@ ClickGenerator::ClickGenerator(const EngineConfig& cfg,
     const ChannelRngs r = fork_channel_rngs(g);
     ch.g_pair = r.pair;
     ch.a.det = spec.detector_signal;
-    ch.a.bg_rate_hz = spec.background_rate_signal_hz;
+    ch.a.bg_rate_hz = ch.plan.bg_a;
     ch.a.pwbg_rate = &RateSegment::background_rate_signal_hz;
     ch.a.pwdark_rate = &RateSegment::dark_rate_signal_hz;
     ch.a.g_bg = r.bg_a;
@@ -216,7 +220,7 @@ ClickGenerator::ClickGenerator(const EngineConfig& cfg,
     ch.a.g_dark = r.dark_a;
     ch.a.g_pwdark = r.pwdark_a;
     ch.b.det = spec.detector_idler;
-    ch.b.bg_rate_hz = spec.background_rate_idler_hz;
+    ch.b.bg_rate_hz = ch.plan.bg_b;
     ch.b.pwbg_rate = &RateSegment::background_rate_idler_hz;
     ch.b.pwdark_rate = &RateSegment::dark_rate_idler_hz;
     ch.b.g_bg = r.bg_b;
@@ -240,7 +244,6 @@ void ClickGenerator::process_channel(Channel& ch, double until_s, bool last,
   const double emit_to = last ? duration_s_ : std::min(theta + ch.spill_pair, duration_s_);
 
   // Pairs go straight into the carried arrival buffers.
-  const std::size_t carried = ch.arrivals.a.size() + ch.arrivals.b.size();
   switch (ch.plan.mode) {
     case EmissionMode::Cw:
       ch.pairs.advance(ch.plan.cw, emit_to, ch.g_pair, ch.arrivals);
@@ -252,11 +255,8 @@ void ClickGenerator::process_channel(Channel& ch, double until_s, bool last,
       ch.pairs.advance(ch.plan.piecewise, emit_to, ch.g_pair, ch.arrivals);
       break;
   }
-  if (obs::metrics_enabled()) {
-    if (!started_) obs::counter(emission_name(ch.plan.mode)).increment();
-    obs::counter("engine.events_generated")
-        .add(ch.arrivals.a.size() + ch.arrivals.b.size() - carried);
-  }
+  if (obs::metrics_enabled() && !started_)
+    obs::counter(emission_name(ch.plan.mode)).increment();
 
   signal = ch.a.process(ch.arrivals.a, ch.plan, duration_s_, theta, until_s,
                         ch.prev_theta, ch.prev_until, last, ch.violations);

@@ -16,7 +16,7 @@
 /// forking a master generator in channel order *before* any parallel work
 /// starts, then derives eleven per-stage sub-streams from each channel
 /// generator in a fixed order (see channel_rng.hpp) — one per stochastic
-/// stage (emission, backgrounds, detection, darks) — and every stage
+/// stage (emission, backgrounds, jitter, darks) — and every stage
 /// consumes only its own stream. Worker threads (the detect pool, see
 /// set_analysis_threads) claim whole channels and write into per-channel
 /// slots, so the output is bitwise identical at every thread count for a
@@ -128,8 +128,9 @@ class EventEngine {
   const EngineConfig& config() const noexcept { return cfg_; }
 
   /// Full chain for all channel pairs: correlated pair generation with
-  /// per-arm transmission, uncorrelated background injection, detector
-  /// efficiency/jitter, dark counts, sort, dead time.
+  /// per-arm transmission × detector efficiency (only detected photons are
+  /// drawn), uncorrelated background injection (thinned by efficiency the
+  /// same way), detector jitter, dark counts, sort, dead time.
   EngineResult run(const std::vector<ChannelPairSpec>& channels) const;
 
  private:

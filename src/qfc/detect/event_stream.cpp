@@ -19,21 +19,43 @@ double delay_scale(double linewidth_hz) {
   return 1.0 / (2.0 * photonics::pi * linewidth_hz);
 }
 
-/// Emit one correlated pair born at t0: Laplace-split the signal-idler
-/// delay symmetrically and thin each arm by its transmission. Every pair
-/// loop below calls it, so delay/transmission semantics and RNG order are
-/// the same in all three emission models.
-void emit_pair(double t0, double scale, double duration_s, double transmission_a,
-               double transmission_b, PairStreams& s, rng::Xoshiro256& g) {
+/// The surviving classes of a pair process whose arms are thinned
+/// independently, arm x keeping a photon with probability eta_x: both arms
+/// (eta_a eta_b), signal only (eta_a (1 - eta_b)) and idler only
+/// ((1 - eta_a) eta_b). By the thinning theorem each class is a Poisson
+/// process of its own, and by superposition their union is one process at
+/// `p_any` times the pair rate, whose events a single uniform classifies.
+/// The thresholds are ratios to p_any, so eta = 0 or 1 on either arm makes
+/// the impossible classes exactly unreachable.
+struct Thinning {
+  double p_any;     ///< probability that at least one arm keeps its photon
+  double cut_both;  ///< u below this: both arms
+  double cut_a;     ///< u below this (and not both): signal only; else idler only
+
+  Thinning(double eta_a, double eta_b)
+      : p_any(eta_a + eta_b * (1.0 - eta_a)),
+        cut_both(p_any > 0 ? eta_a * eta_b / p_any : 0.0),
+        cut_a(p_any > 0 ? eta_a / p_any : 0.0) {}
+};
+
+/// Emit one surviving pair born at t0: Laplace-split the signal-idler delay
+/// symmetrically, draw the pair's class and keep the class's photons that
+/// land inside [0, duration_s). Every pair loop below calls it, so delay,
+/// class and clip semantics and RNG order are the same in all three
+/// emission models. A one-arm class still draws the delay, so its photon
+/// sits where the pair's would and the run edges clip it alike.
+void emit_pair(double t0, double scale, double duration_s, const Thinning& thin,
+               PairStreams& s, rng::Xoshiro256& g) {
   // Symmetrize: put half the Laplace delay on each photon so neither arm
   // is systematically early.
   const double delta = rng::sample_double_exponential(g, 1.0 / scale);
+  const double u = g.uniform();
   const double ta = t0 + delta / 2.0;
   const double tb = t0 - delta / 2.0;
-  if (ta >= 0 && ta < duration_s && rng::sample_bernoulli(g, transmission_a))
-    s.a.push_back(ta);
-  if (tb >= 0 && tb < duration_s && rng::sample_bernoulli(g, transmission_b))
-    s.b.push_back(tb);
+  const bool keep_a = u < thin.cut_a;
+  const bool keep_b = u < thin.cut_both || !keep_a;
+  if (keep_a && ta >= 0 && ta < duration_s) s.a.push_back(ta);
+  if (keep_b && tb >= 0 && tb < duration_s) s.b.push_back(tb);
 }
 
 /// The Poisson loop behind every sampler but the pulsed one: a process at
@@ -68,11 +90,15 @@ void advance_poisson(detail::Sampler& s, std::size_t num_segments, const RateOf&
   }
 }
 
-/// Room for `expected_pairs` pairs in both arms, plus 10% headroom.
-void reserve_pairs(PairStreams& s, double expected_pairs) {
-  const std::size_t n = static_cast<std::size_t>(expected_pairs * 1.1) + 16;
-  s.a.reserve(n);
-  s.b.reserve(n);
+/// Room for the expected survivors of `expected_pairs` pairs in each arm,
+/// plus 10% headroom.
+void reserve_pairs(PairStreams& s, double expected_pairs, double transmission_a,
+                   double transmission_b) {
+  const auto room = [&](double eta) {
+    return static_cast<std::size_t>(expected_pairs * eta * 1.1) + 16;
+  };
+  s.a.reserve(room(transmission_a));
+  s.b.reserve(room(transmission_b));
 }
 
 /// The pair emission times are generated in order and the signal-idler
@@ -129,38 +155,41 @@ void Sampler::advance(const std::vector<RateSegment>& segments,
 void Sampler::advance(const PairStreamParams& p, double target_s, rng::Xoshiro256& g,
                       PairStreams& out) {
   const double scale = delay_scale(p.linewidth_hz);
+  const Thinning thin(p.transmission_a, p.transmission_b);
+  const double rate = p.pair_rate_hz * thin.p_any;
   advance_poisson(
-      *this, 1, [&](std::size_t) { return p.pair_rate_hz; },
+      *this, 1, [&](std::size_t) { return rate; },
       [&](std::size_t) { return p.duration_s; }, p.duration_s, target_s, g,
-      [&](double t) {
-        emit_pair(t, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
-      });
+      [&](double t) { emit_pair(t, scale, p.duration_s, thin, out, g); });
 }
 
 void Sampler::advance(const PiecewiseStreamParams& p, double target_s,
                       rng::Xoshiro256& g, PairStreams& out) {
   const double scale = delay_scale(p.linewidth_hz);
+  const Thinning thin(p.transmission_a, p.transmission_b);
   advance_poisson(
-      *this, p.segments.size(), [&](std::size_t k) { return p.segments[k].pair_rate_hz; },
+      *this, p.segments.size(),
+      [&](std::size_t k) { return p.segments[k].pair_rate_hz * thin.p_any; },
       [&](std::size_t k) { return p.segments[k].duration_s; }, p.duration_s, target_s,
-      g, [&](double t) {
-        emit_pair(t, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
-      });
+      g, [&](double t) { emit_pair(t, scale, p.duration_s, thin, out, g); });
 }
 
 void Sampler::advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro256& g,
                       PairStreams& out) {
-  const double mu = p.mean_pairs_per_pulse;
+  const Thinning thin(p.transmission_a, p.transmission_b);
+  const double mu = p.mean_pairs_per_pulse * thin.p_any;  // surviving pairs per slot
   if (mu == 0) return;
   const double scale = delay_scale(p.linewidth_hz);
   const double period = 1.0 / p.repetition_rate_hz;
   const bool double_pulse = p.bin_separation_s > 0;
-  // Visit only the occupied pulse slots: slot occupancy is Bernoulli with
-  // p_occ = 1 - e^-mu per slot, so the index gap to the next occupied slot
-  // is geometric — sampled exactly as floor(Exp(mu)) — and the pair number
-  // of a visited slot is zero-truncated Poisson. Identical in distribution
-  // to a Poisson draw per slot, at O(emitted pairs) RNG cost instead of
-  // O(slots); comb sources run at mu << 1, where almost every slot is empty.
+  // Visit only the slots holding a surviving pair: a slot's surviving pair
+  // number is Poisson with mean mu (thinning), so occupancy is Bernoulli
+  // with p_occ = 1 - e^-mu per slot, the index gap to the next occupied
+  // slot is geometric — sampled exactly as floor(Exp(mu)) — and the pair
+  // number of a visited slot is zero-truncated Poisson. Identical in
+  // distribution to a Poisson draw per slot, at O(surviving pairs) RNG cost
+  // instead of O(slots); comb sources run at mu << 1, where almost every
+  // slot is empty.
   if (!primed) {
     next = std::floor(rng::sample_exponential(g, mu));
     primed = true;
@@ -174,7 +203,7 @@ void Sampler::advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro
       if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
         t0 += p.bin_separation_s;
       if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
-      emit_pair(t0, scale, p.duration_s, p.transmission_a, p.transmission_b, out, g);
+      emit_pair(t0, scale, p.duration_s, thin, out, g);
     }
     next += 1.0 + std::floor(rng::sample_exponential(g, mu));
   }
@@ -195,7 +224,7 @@ void PairStreamParams::validate() const {
 PairStreams generate_pair_arrivals(const PairStreamParams& p, rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  reserve_pairs(s, p.pair_rate_hz * p.duration_s);
+  reserve_pairs(s, p.pair_rate_hz * p.duration_s, p.transmission_a, p.transmission_b);
   detail::Sampler{}.advance(p, kInf, g, s);
   sort_if_needed(s);
   return s;
@@ -234,7 +263,8 @@ PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
                                           rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  reserve_pairs(s, p.mean_pairs_per_pulse * p.repetition_rate_hz * p.duration_s);
+  reserve_pairs(s, p.mean_pairs_per_pulse * p.repetition_rate_hz * p.duration_s,
+                p.transmission_a, p.transmission_b);
   detail::Sampler{}.advance(p, kInf, g, s);
   // Within one repetition period pairs are emitted bin-unordered; across
   // periods they are time-ordered, so the streams are nearly sorted.

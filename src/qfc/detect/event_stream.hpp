@@ -7,8 +7,13 @@
 /// double-pulsed into early/late time bins), and piecewise-constant rate
 /// schedules (drifting sources). All share the two-sided exponential
 /// signal-idler delay (the Fourier pair of the Lorentzian resonance) and
-/// per-arm channel transmission. Detector imperfections are applied
-/// separately by SinglePhotonDetector.
+/// independent per-arm thinning by `transmission_a/b`. The lost photons are
+/// never drawn: each sampler draws only the surviving pairs (both arms, or
+/// one), one Poisson stream at the pair rate times the probability that any
+/// arm survives, with one uniform per pair picking which arms do. Detector
+/// imperfections are applied separately by SinglePhotonDetector; the event
+/// engine folds the detector efficiency into the transmissions, so its
+/// samplers draw detected photons only.
 ///
 /// Every generate_* function is one advance to +∞ of a detail::Sampler
 /// below, the same resumable loop the event engine (event_engine.hpp)
@@ -22,12 +27,16 @@
 
 namespace qfc::detect {
 
+/// `transmission_a/b` is the probability that an arm's photon survives, drawn
+/// independently per arm: the output is the pair stream thinned by it (a
+/// photon whose arm loses it never appears). Pass transmission × detector
+/// efficiency to get the detected photons, as the event engine does.
 struct PairStreamParams {
   double pair_rate_hz = 0;      ///< on-chip generated pair rate
   double linewidth_hz = 0;      ///< Lorentzian FWHM of both photons
   double duration_s = 0;        ///< experiment duration
-  double transmission_a = 1.0;  ///< channel transmission, signal arm
-  double transmission_b = 1.0;  ///< channel transmission, idler arm
+  double transmission_a = 1.0;  ///< survival probability, signal arm
+  double transmission_b = 1.0;  ///< survival probability, idler arm
 
   void validate() const;
 };
@@ -61,8 +70,8 @@ struct PulsedStreamParams {
   double late_fraction = 0.5;      ///< probability a pair is born in the late bin
   double linewidth_hz = 0;         ///< Lorentzian FWHM of both photons
   double duration_s = 0;           ///< experiment duration
-  double transmission_a = 1.0;     ///< channel transmission, signal arm
-  double transmission_b = 1.0;     ///< channel transmission, idler arm
+  double transmission_a = 1.0;     ///< survival probability, signal arm
+  double transmission_b = 1.0;     ///< survival probability, idler arm
 
   void validate() const;
 };
@@ -88,8 +97,8 @@ struct PiecewiseStreamParams {
   std::vector<RateSegment> segments;
   double linewidth_hz = 0;      ///< Lorentzian FWHM of both photons
   double duration_s = 0;        ///< experiment duration (segments must cover it)
-  double transmission_a = 1.0;  ///< channel transmission, signal arm
-  double transmission_b = 1.0;  ///< channel transmission, idler arm
+  double transmission_a = 1.0;  ///< survival probability, signal arm
+  double transmission_b = 1.0;  ///< survival probability, idler arm
 
   void validate() const;
 };

@@ -532,12 +532,20 @@ void blocked_gemm_planar(const CMat& a, const CMat& b, CMat& c) {
   const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
   count_blocked_gemm(m, kk, n, true);
   QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
-  std::vector<double> bre(kk * n), bim(kk * n);
+  // B's real and imaginary planes, packed into a per-thread buffer that only
+  // grows, so a GEMM inside an iteration loop (the RρR seam packs a
+  // T x dim B every call) does not allocate per call. The pool tasks below
+  // only read it, and nothing below packs again on this thread before the
+  // round ends.
+  thread_local std::vector<double> planes;
+  if (planes.size() < 2 * kk * n) planes.resize(2 * kk * n);
+  double* const bre = planes.data();
+  double* const bim = planes.data() + kk * n;
   const cplx* pb = b.data();
   for (std::size_t k = 0; k < kk; ++k) {
     const cplx* brow = pb + k * n;
-    double* r = bre.data() + k * n;
-    double* s = bim.data() + k * n;
+    double* r = bre + k * n;
+    double* s = bim + k * n;
     for (std::size_t j = 0; j < n; ++j) {
       r[j] = brow[j].real();
       s[j] = brow[j].imag();
@@ -547,8 +555,8 @@ void blocked_gemm_planar(const CMat& a, const CMat& b, CMat& c) {
   for_row_chunks(pooled, m, kGemmRowChunk,
                  [&](std::size_t, std::size_t i0, std::size_t i1) {
                    std::vector<double> cre(n), cim(n);  // per-task accumulators
-                   gemm_planar_rows_avx2(a.data(), kk, n, bre.data(), bim.data(),
-                                         c.data(), i0, i1, cre.data(), cim.data());
+                   gemm_planar_rows_avx2(a.data(), kk, n, bre, bim, c.data(), i0, i1,
+                                         cre.data(), cim.data());
                  });
 }
 #endif

@@ -111,22 +111,22 @@ class Mat {
   friend Mat operator*(const Mat& a, const Mat& b) {
     if (a.cols_ != b.rows_) throw std::invalid_argument("Mat::mul: shape mismatch");
     Mat c(a.rows_, b.cols_);
-    // Tiny products (gates, Paulis, few-level ops) keep the fully inlined
-    // loop — the cross-TU dispatch would cost more than the flops. The loop
-    // is identical to the reference ikj kernel, so results do not
-    // depend on which side of the cutoff a product lands.
-    if (a.rows_ * a.cols_ * b.cols_ <= 4096) {
-      for (std::size_t i = 0; i < a.rows_; ++i) {
-        for (std::size_t k = 0; k < a.cols_; ++k) {
-          const T aik = a(i, k);
-          if (aik == T{}) continue;
-          for (std::size_t j = 0; j < b.cols_; ++j) c(i, j) += aik * b(k, j);
-        }
-      }
-    } else {
-      detail::gemm_dispatch(a, b, c);
-    }
+    c.add_product(a, b);
     return c;
+  }
+
+  /// c = a·b, bitwise the same as operator*, written into `c`: its storage is
+  /// reused when it already has the product's shape, so an iteration that
+  /// multiplies into the same workspace allocates nothing.
+  friend void multiply_into(const Mat& a, const Mat& b, Mat& c) {
+    if (a.cols_ != b.rows_) throw std::invalid_argument("Mat::mul: shape mismatch");
+    if (&c == &a || &c == &b)
+      throw std::invalid_argument("Mat::mul: output aliases an input");
+    if (c.rows_ == a.rows_ && c.cols_ == b.cols_)
+      c.data_.assign(c.data_.size(), T{});
+    else
+      c = Mat(a.rows_, b.cols_);
+    c.add_product(a, b);
   }
 
   /// Matrix-vector product.
@@ -185,6 +185,25 @@ class Mat {
   }
 
  private:
+  /// *this += a·b for a zero-filled *this of the product's shape.
+  void add_product(const Mat& a, const Mat& b) {
+    // Tiny products (gates, Paulis, few-level ops) keep the fully inlined
+    // loop — the cross-TU dispatch would cost more than the flops. The loop
+    // is identical to the reference ikj kernel, so results do not
+    // depend on which side of the cutoff a product lands.
+    if (a.rows_ * a.cols_ * b.cols_ <= 4096) {
+      for (std::size_t i = 0; i < a.rows_; ++i) {
+        for (std::size_t k = 0; k < a.cols_; ++k) {
+          const T aik = a(i, k);
+          if (aik == T{}) continue;
+          for (std::size_t j = 0; j < b.cols_; ++j) (*this)(i, j) += aik * b(k, j);
+        }
+      }
+    } else {
+      detail::gemm_dispatch(a, b, *this);
+    }
+  }
+
   void check_index(std::size_t i, std::size_t j) const {
     if (i >= rows_ || j >= cols_) throw std::out_of_range("Mat: index out of range");
   }

@@ -6,8 +6,11 @@
 namespace qfc::rng {
 
 double sample_normal(Xoshiro256& g) {
-  // Marsaglia polar method; discards the second variate for simplicity —
-  // generation is not a bottleneck next to the physics code.
+  // Marsaglia polar method. The second variate is discarded so the sampler
+  // keeps no state between calls: each draw depends only on the generator,
+  // which the engine's per-stage streams and window pauses rely on. That
+  // doubles the uniforms per normal; the engine draws one normal per
+  // detected photon (its jitter).
   for (;;) {
     const double u = g.uniform(-1.0, 1.0);
     const double v = g.uniform(-1.0, 1.0);

@@ -188,9 +188,10 @@ CMat linear_inversion(const std::vector<SettingCounts>& data) {
 namespace {
 
 /// p_t = Re ψ_t†ρψ_t for every packed term: row t of B = Φ·ρ is ψ_t†ρ, and
-/// its product with ψ_t = conj(row t of Φ) is the probability.
-void term_probabilities(const CMat& phi, const CMat& rho, linalg::RVec& p) {
-  const CMat b = phi * rho;
+/// its product with ψ_t = conj(row t of Φ) is the probability. `b` is the
+/// caller's workspace for B.
+void term_probabilities(const CMat& phi, const CMat& rho, CMat& b, linalg::RVec& p) {
+  multiply_into(phi, rho, b);
   const std::size_t dim = phi.cols();
   const cplx* bt = b.data();
   const cplx* ft = phi.data();
@@ -246,10 +247,15 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
   RrrResult res;
   linalg::RVec p(num_active);
+  // Term-sized (T x dim) workspaces, reused by every iteration so the loop
+  // allocates nothing: at T ~ 10^3 each is ~300 KB, where a per-iteration
+  // allocation's cost depends on the allocator's mmap/trim thresholds,
+  // which other work in the process moves.
+  CMat b, phi_w;
   for (int it = 0; it < opts.max_iterations; ++it) {
     // R = Σ_t w_t |ψ_t⟩⟨ψ_t| = Ψ·diag(w)·Φ with w_t = c_t / (N p_t).
-    term_probabilities(phi, rho, p);
-    CMat phi_w = phi;
+    term_probabilities(phi, rho, b, p);
+    phi_w = phi;
     for (std::size_t t = 0; t < num_active; ++t) {
       const double w = counts[t] / (grand_total * std::max(1e-12, p[t]));
       cplx* row = phi_w.data() + t * dim;
@@ -275,7 +281,7 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
   // Final cleanup: enforce exact Hermiticity/PSD within tolerance.
   rho = linalg::project_to_density_matrix(rho);
-  term_probabilities(phi, rho, p);
+  term_probabilities(phi, rho, b, p);
   double ll = 0;
   for (std::size_t t = 0; t < num_active; ++t)
     ll += counts[t] * std::log(std::max(1e-300, p[t]));

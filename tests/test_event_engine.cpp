@@ -70,8 +70,11 @@ TEST(EventTable, FromColumnsRejectsUnsorted) {
 TEST(EventEngine, MatchesHandRolledPipelineBitwise) {
   // The engine's per-channel pipeline must reproduce the hand-rolled
   // generate -> detect chain exactly when the chain is driven with the
-  // documented per-stage sub-streams (channel_rng.hpp): pair emission on
-  // stream 1, detection/darks on streams 6/7 (signal) and 9/10 (idler).
+  // documented per-stage sub-streams (channel_rng.hpp) and the documented
+  // composition: the pair kernel draws detected photons (transmission x
+  // efficiency per arm) on stream 1, and a detector at efficiency 1 (no
+  // thinning draws) jitters them on streams 6 (signal) / 9 (idler) and adds
+  // darks on streams 7 / 10.
   const auto specs = test_specs(3);
   EngineConfig ec;
   ec.duration_s = 2.0;
@@ -86,11 +89,14 @@ TEST(EventEngine, MatchesHandRolledPipelineBitwise) {
     p.pair_rate_hz = specs[c].pair_rate_hz;
     p.linewidth_hz = specs[c].linewidth_hz;
     p.duration_s = ec.duration_s;
-    p.transmission_a = specs[c].transmission_signal;
-    p.transmission_b = specs[c].transmission_idler;
+    p.transmission_a = specs[c].transmission_signal * specs[c].detector_signal.efficiency;
+    p.transmission_b = specs[c].transmission_idler * specs[c].detector_idler.efficiency;
     const auto photons = detect::generate_pair_arrivals(p, r.pair);
-    const detect::SinglePhotonDetector ds(specs[c].detector_signal);
-    const detect::SinglePhotonDetector di(specs[c].detector_idler);
+    detect::DetectorParams det_a = specs[c].detector_signal;
+    detect::DetectorParams det_b = specs[c].detector_idler;
+    det_a.efficiency = det_b.efficiency = 1.0;
+    const detect::SinglePhotonDetector ds(det_a);
+    const detect::SinglePhotonDetector di(det_b);
     const std::vector<double> no_extra_darks;
     EXPECT_EQ(res.signal.channel_clicks(c),
               ds.detect(photons.a, no_extra_darks, ec.duration_s, r.det_a, r.dark_a));

@@ -87,6 +87,25 @@ TEST(Matrix, ShapeMismatchThrows) {
   EXPECT_THROW(c += a, std::invalid_argument);
 }
 
+TEST(Matrix, MultiplyIntoMatchesOperatorStarAndReusesStorage) {
+  // Tall-skinny (the RρR seam: T x dim times dim x dim, above the inline
+  // cutoff) and tiny (inline loop) products.
+  const CMat tall = random_matrix(300, 16, 11), sq = random_matrix(16, 16, 12);
+  const CMat a = random_matrix(3, 4, 13), b = random_matrix(4, 2, 14);
+  CMat c;
+  multiply_into(tall, sq, c);
+  EXPECT_EQ(c, tall * sq);
+  const cplx* storage = c.data();
+  multiply_into(tall, sq * sq, c);  // same shape: storage reused, not summed
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_EQ(c, tall * (sq * sq));
+  multiply_into(a, b, c);  // new shape: resized
+  EXPECT_EQ(c, a * b);
+  CMat x = sq;
+  EXPECT_THROW(multiply_into(x, sq, x), std::invalid_argument);  // output aliases input
+  EXPECT_THROW(multiply_into(b, a, c), std::invalid_argument);
+}
+
 TEST(Matrix, AdjointIsConjugateTranspose) {
   const CMat a = random_matrix(3, 5, 2);
   const CMat ad = a.adjoint();
