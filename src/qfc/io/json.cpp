@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 namespace qfc::io {
@@ -11,57 +10,66 @@ Json::Json(unsigned long long v) {
   if (v > static_cast<unsigned long long>(std::numeric_limits<std::int64_t>::max()))
     throw JsonError("Json: unsigned value " + std::to_string(v) +
                     " exceeds the int64 range JSON integers round-trip through");
-  type_ = Type::Int;
-  int_ = static_cast<std::int64_t>(v);
+  value_.emplace<std::int64_t>(static_cast<std::int64_t>(v));
+}
+
+const std::string& Json::empty_string() noexcept {
+  static const std::string empty;
+  return empty;
+}
+
+const Json::Array& Json::empty_array() noexcept {
+  static const Array empty;
+  return empty;
+}
+
+const Json::Object& Json::empty_object() noexcept {
+  static const Object empty;
+  return empty;
 }
 
 Json Json::make_array(Array elements) {
-  Json j = make_array();
-  j.array_ = std::move(elements);
+  Json j;
+  j.value_.emplace<Array>(std::move(elements));
   return j;
 }
 
 void Json::push_back(Json v) {
-  if (type_ == Type::Null) type_ = Type::Array;
-  if (type_ != Type::Array) throw JsonError("Json::push_back on a non-array value");
-  array_.push_back(std::move(v));
+  if (is_null()) value_.emplace<Array>();
+  Array* array = std::get_if<Array>(&value_);
+  if (array == nullptr) throw JsonError("Json::push_back on a non-array value");
+  array->push_back(std::move(v));
 }
 
 void Json::set(std::string key, Json v) {
-  if (type_ == Type::Null) type_ = Type::Object;
-  if (type_ != Type::Object) throw JsonError("Json::set on a non-object value");
-  for (auto& member : object_) {
+  if (is_null()) value_.emplace<Object>();
+  Object* object = std::get_if<Object>(&value_);
+  if (object == nullptr) throw JsonError("Json::set on a non-object value");
+  for (auto& member : *object) {
     if (member.first == key) {
       member.second = std::move(v);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(v));
+  object->emplace_back(std::move(key), std::move(v));
 }
 
 const Json* Json::find(std::string_view key) const noexcept {
-  if (type_ != Type::Object) return nullptr;
-  for (const auto& member : object_)
+  for (const auto& member : object_members())
     if (member.first == key) return &member.second;
   return nullptr;
 }
 
 bool operator==(const Json& a, const Json& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Json::Type::Null: return true;
-    case Json::Type::Bool: return a.bool_ == b.bool_;
-    case Json::Type::Int: return a.int_ == b.int_;
-    case Json::Type::Double:
-      // Bit-level comparison (NaN == NaN, -0.0 != 0.0): dump() emits
-      // distinct bytes exactly when the bits differ.
-      return a.double_ == b.double_ ||
-             (std::isnan(a.double_) && std::isnan(b.double_));
-    case Json::Type::String: return a.string_ == b.string_;
-    case Json::Type::Array: return a.array_ == b.array_;
-    case Json::Type::Object: return a.object_ == b.object_;
+  if (a.type() != b.type()) return false;
+  if (a.type() == Json::Type::Double) {
+    // NaN == NaN and -0.0 != 0.0, so that equal values are the ones
+    // dump() writes as equal bytes.
+    const double x = a.number_value(), y = b.number_value();
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+    return x == y && std::signbit(x) == std::signbit(y);
   }
-  return false;
+  return a.value_ == b.value_;
 }
 
 // --------------------------------------------------------------- parser
@@ -73,7 +81,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters after the JSON value");
     return value;
@@ -121,12 +129,13 @@ class Parser {
     pos_ += literal.size();
   }
 
-  Json parse_value() {
+  // `depth` counts the arrays/objects open around the value.
+  Json parse_value(int depth) {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Json(parse_string());
       case 't': expect_literal("true"); return Json(true);
       case 'f': expect_literal("false"); return Json(false);
@@ -137,7 +146,15 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  // Refused before recursing any deeper, so the parser's stack (and the
+  // depth of every parsed value) stays bounded.
+  void check_depth(int depth) const {
+    if (depth > Json::kMaxDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+  }
+
+  Json parse_object(int depth) {
+    check_depth(depth);
     expect('{', "'{'");
     Json object = Json::make_object();
     skip_whitespace();
@@ -149,7 +166,7 @@ class Parser {
       if (object.find(key) != nullptr) fail("duplicate object key '" + key + "'");
       skip_whitespace();
       expect(':', "':' after object key");
-      object.set(std::move(key), parse_value());
+      object.set(std::move(key), parse_value(depth));
       skip_whitespace();
       if (consume(',')) continue;
       expect('}', "',' or '}' in object");
@@ -157,13 +174,14 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
+    check_depth(depth);
     expect('[', "'['");
     Json array = Json::make_array();
     skip_whitespace();
     if (consume(']')) return array;
     while (true) {
-      array.push_back(parse_value());
+      array.push_back(parse_value(depth));
       skip_whitespace();
       if (consume(',')) continue;
       expect(']', "',' or ']' in array");
@@ -297,9 +315,16 @@ Json Json::parse(std::string_view text) { return Parser(text).parse_document(); 
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+// Appends `s` quoted: each run of bytes that need no escape goes in with
+// one append, and only '"', '\\' and control characters are rewritten.
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 bytes pass through
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -308,17 +333,21 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);  // UTF-8 bytes pass through
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];  // INT64_MIN is 20 characters
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, result.ptr);
 }
 
 void append_double(std::string& out, double v) {
@@ -347,34 +376,36 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     out.push_back('\n');
     out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(levels), ' ');
   };
-  switch (type_) {
+  switch (type()) {
     case Type::Null: out += "null"; return;
-    case Type::Bool: out += bool_ ? "true" : "false"; return;
-    case Type::Int: out += std::to_string(int_); return;
-    case Type::Double: append_double(out, double_); return;
-    case Type::String: append_escaped(out, string_); return;
+    case Type::Bool: out += bool_value() ? "true" : "false"; return;
+    case Type::Int: append_int(out, int_value()); return;
+    case Type::Double: append_double(out, number_value()); return;
+    case Type::String: append_escaped(out, string_value()); return;
     case Type::Array: {
-      if (array_.empty()) { out += "[]"; return; }
+      const Array& items = array_items();
+      if (items.empty()) { out += "[]"; return; }
       out.push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out.push_back(',');
         if (pretty) newline_indent(depth + 1);
-        array_[i].dump_to(out, indent, depth + 1);
+        items[i].dump_to(out, indent, depth + 1);
       }
       if (pretty) newline_indent(depth);
       out.push_back(']');
       return;
     }
     case Type::Object: {
-      if (object_.empty()) { out += "{}"; return; }
+      const Object& members = object_members();
+      if (members.empty()) { out += "{}"; return; }
       out.push_back('{');
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out.push_back(',');
         if (pretty) newline_indent(depth + 1);
-        append_escaped(out, object_[i].first);
+        append_escaped(out, members[i].first);
         out.push_back(':');
         if (pretty) out.push_back(' ');
-        object_[i].second.dump_to(out, indent, depth + 1);
+        members[i].second.dump_to(out, indent, depth + 1);
       }
       if (pretty) newline_indent(depth);
       out.push_back('}');

@@ -13,12 +13,30 @@
 /// or addresses — the same Json value always serializes to the same bytes,
 /// and parse(dump(v)) == v exactly (integers stay integers, doubles stay
 /// bit-identical).
+///
+/// Layout: a Json is one std::variant over the seven value kinds, in the
+/// order of `Json::Type`, so `type()` is the variant index and a node is
+/// 40 bytes (a std::string plus the index; an object member is 72). A
+/// sweep report is hundreds of thousands of nodes, so this size is its
+/// memory; the static_assert below keeps it from growing back.
+///
+/// Nesting cap: parse() rejects input nested deeper than
+/// `Json::kMaxDepth` arrays/objects with a line/column JsonError, so
+/// hostile input cannot overflow the parser's stack. Every parsed value
+/// is therefore at most that deep, which also bounds the recursion of
+/// dump() and of the destructor on it.
+///
+/// Unchecked readers (`bool_value()`, `int_value()`, `number_value()`,
+/// `string_value()`, `array_items()`, `object_members()`) never fail: on
+/// a value of another type they return false / 0 / an empty string,
+/// array or object. JsonView is the checked, path-reporting way in.
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace qfc::io {
@@ -42,48 +60,71 @@ class Json {
   using Member = std::pair<std::string, Json>;
   using Object = std::vector<Member>;
 
-  Json() noexcept : type_(Type::Null) {}
-  Json(std::nullptr_t) noexcept : type_(Type::Null) {}
-  Json(bool b) noexcept : type_(Type::Bool), bool_(b) {}
-  Json(int v) noexcept : type_(Type::Int), int_(v) {}
-  Json(long v) noexcept : type_(Type::Int), int_(v) {}
-  Json(long long v) noexcept : type_(Type::Int), int_(v) {}
-  Json(unsigned v) noexcept : type_(Type::Int), int_(static_cast<std::int64_t>(v)) {}
+  /// Deepest array/object nesting parse() accepts (a fixed limit, not a
+  /// setting): the top-level container is level 1.
+  static constexpr int kMaxDepth = 512;
+
+  Json() noexcept = default;
+  Json(std::nullptr_t) noexcept {}
+  Json(bool b) noexcept : value_(std::in_place_type<bool>, b) {}
+  Json(int v) noexcept : value_(std::in_place_type<std::int64_t>, v) {}
+  Json(long v) noexcept : value_(std::in_place_type<std::int64_t>, v) {}
+  Json(long long v) noexcept : value_(std::in_place_type<std::int64_t>, v) {}
+  Json(unsigned v) noexcept
+      : value_(std::in_place_type<std::int64_t>, static_cast<std::int64_t>(v)) {}
   Json(unsigned long v) : Json(static_cast<unsigned long long>(v)) {}
   /// Throws JsonError above INT64_MAX (JSON has no unsigned channel that
   /// round-trips through the Int representation).
   Json(unsigned long long v);
-  Json(double v) noexcept : type_(Type::Double), double_(v) {}
-  Json(const char* s) : type_(Type::String), string_(s) {}
-  Json(std::string s) : type_(Type::String), string_(std::move(s)) {}
-  Json(std::string_view s) : type_(Type::String), string_(s) {}
+  Json(double v) noexcept : value_(std::in_place_type<double>, v) {}
+  Json(const char* s) : value_(std::in_place_type<std::string>, s) {}
+  Json(std::string s) : value_(std::in_place_type<std::string>, std::move(s)) {}
+  Json(std::string_view s) : value_(std::in_place_type<std::string>, s) {}
 
-  static Json make_array() { Json j; j.type_ = Type::Array; return j; }
-  static Json make_object() { Json j; j.type_ = Type::Object; return j; }
+  static Json make_array() { Json j; j.value_.emplace<Array>(); return j; }
+  static Json make_object() { Json j; j.value_.emplace<Object>(); return j; }
   /// Convenience: Json::make_array({Json(1), Json(2)}).
   static Json make_array(Array elements);
 
-  Type type() const noexcept { return type_; }
-  bool is_null() const noexcept { return type_ == Type::Null; }
-  bool is_bool() const noexcept { return type_ == Type::Bool; }
+  Type type() const noexcept { return static_cast<Type>(value_.index()); }
+  bool is_null() const noexcept { return type() == Type::Null; }
+  bool is_bool() const noexcept { return type() == Type::Bool; }
   /// Int and Double are both "number" to readers; the split exists so
   /// integer literals (seeds, counts) round-trip without a float detour.
-  bool is_number() const noexcept { return type_ == Type::Int || type_ == Type::Double; }
-  bool is_int() const noexcept { return type_ == Type::Int; }
-  bool is_string() const noexcept { return type_ == Type::String; }
-  bool is_array() const noexcept { return type_ == Type::Array; }
-  bool is_object() const noexcept { return type_ == Type::Object; }
+  bool is_number() const noexcept { return is_int() || type() == Type::Double; }
+  bool is_int() const noexcept { return type() == Type::Int; }
+  bool is_string() const noexcept { return type() == Type::String; }
+  bool is_array() const noexcept { return type() == Type::Array; }
+  bool is_object() const noexcept { return type() == Type::Object; }
 
-  // ---- unchecked readers (call only after the matching is_*() check;
-  //      JsonView is the checked, path-reporting way in).
-  bool bool_value() const noexcept { return bool_; }
-  std::int64_t int_value() const noexcept { return int_; }
-  double number_value() const noexcept {
-    return type_ == Type::Int ? static_cast<double>(int_) : double_;
+  // ---- unchecked readers (meant for after the matching is_*() check; on
+  //      any other type they return the zero or empty value, see above)
+  bool bool_value() const noexcept {
+    const bool* b = std::get_if<bool>(&value_);
+    return b != nullptr && *b;
   }
-  const std::string& string_value() const noexcept { return string_; }
-  const Array& array_items() const noexcept { return array_; }
-  const Object& object_members() const noexcept { return object_; }
+  std::int64_t int_value() const noexcept {
+    const std::int64_t* i = std::get_if<std::int64_t>(&value_);
+    return i != nullptr ? *i : 0;
+  }
+  double number_value() const noexcept {
+    if (const std::int64_t* i = std::get_if<std::int64_t>(&value_))
+      return static_cast<double>(*i);
+    const double* d = std::get_if<double>(&value_);
+    return d != nullptr ? *d : 0.0;
+  }
+  const std::string& string_value() const noexcept {
+    const std::string* s = std::get_if<std::string>(&value_);
+    return s != nullptr ? *s : empty_string();
+  }
+  const Array& array_items() const noexcept {
+    const Array* a = std::get_if<Array>(&value_);
+    return a != nullptr ? *a : empty_array();
+  }
+  const Object& object_members() const noexcept {
+    const Object* o = std::get_if<Object>(&value_);
+    return o != nullptr ? *o : empty_object();
+  }
 
   // ---- builders
   /// Appends to an array (null coerces to an empty array first).
@@ -114,14 +155,17 @@ class Json {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  static const std::string& empty_string() noexcept;
+  static const Array& empty_array() noexcept;
+  static const Object& empty_object() noexcept;
+
+  // Alternatives in `Type` order: type() is the index.
+  std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object>
+      value_;
 };
+
+static_assert(sizeof(Json) <= 40, "a Json node is one variant: a std::string plus its index");
+static_assert(sizeof(Json::Member) <= 72, "an object member is a key plus one Json node");
 
 /// Non-throwing NaN/Inf-safe number: non-finite doubles serialize as
 /// strings ("nan", "inf", "-inf") so reports can carry e.g. the NaN

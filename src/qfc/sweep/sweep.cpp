@@ -67,8 +67,8 @@ Axis parse_axis(const io::JsonView& axis, const Scenario& scenario) {
         ls.fail("integer parameter '" + out.param +
                 "' needs a grid of whole numbers (whole start, stop and step)");
       for (std::int64_t i = 0; i < count; ++i)
-        out.values.push_back(io::Json(static_cast<std::int64_t>(start) +
-                                      i * static_cast<std::int64_t>(step)));
+        out.values.emplace_back(static_cast<std::int64_t>(start) +
+                                i * static_cast<std::int64_t>(step));
       return out;
     }
     for (std::int64_t i = 0; i < count; ++i) {
@@ -76,7 +76,7 @@ Axis parse_axis(const io::JsonView& axis, const Scenario& scenario) {
       const double t = count == 1 ? 0.0
                                   : static_cast<double>(i) /
                                         static_cast<double>(count - 1);
-      out.values.push_back(io::Json(start + (stop - start) * t));
+      out.values.emplace_back(start + (stop - start) * t);
     }
   }
   return out;

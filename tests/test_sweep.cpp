@@ -1,7 +1,8 @@
 // Tests for the config/serialization layer (qfc::io JSON) and the
-// scenario-sweep runner (qfc::sweep): round-trips, path-qualified config
-// errors, axis expansion, worker-count bitwise parity, failure isolation,
-// and adapter-vs-façade parity for every registered experiment.
+// scenario-sweep runner (qfc::sweep): round-trips, literal writer bytes,
+// the parse nesting cap, path-qualified config errors, axis expansion,
+// worker-count bitwise parity, failure isolation, and adapter-vs-façade
+// parity for every registered experiment.
 
 #include <cmath>
 #include <limits>
@@ -65,6 +66,15 @@ TEST(Json, IntAndDoubleAreDistinctValues) {
   EXPECT_EQ(Json(3.0), Json(3.0));
 }
 
+TEST(Json, SignedZerosAreDistinctValuesLikeTheirBytes) {
+  EXPECT_NE(Json(-0.0).dump(), Json(0.0).dump());
+  EXPECT_NE(Json(-0.0), Json(0.0));
+  EXPECT_EQ(Json(-0.0), Json::parse("-0.0"));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Json(nan), Json(nan));
+  EXPECT_NE(Json(nan), Json(0.0));
+}
+
 TEST(Json, WriterRejectsNonFiniteAndNumberOrStringSanitizes) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -86,6 +96,93 @@ TEST(Json, ParseErrorsCarryLineAndColumn) {
   EXPECT_THROW(Json::parse("[1, 2,]"), JsonError);
   EXPECT_THROW(Json::parse("{} trailing"), JsonError);
   EXPECT_THROW(Json::parse("1e999"), JsonError);
+}
+
+TEST(Json, ParseRejectsNestingPastTheCapWithPosition) {
+  // 100,000 levels would overflow a parser without the cap.
+  const std::size_t deep = 100000;
+  const std::string arrays = std::string(deep, '[') + std::string(deep, ']');
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  objects += "0" + std::string(deep, '}');
+  for (const std::string& text : {arrays, objects}) {
+    try {
+      Json::parse(text);
+      FAIL() << "nesting past the cap accepted";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 1, column"), std::string::npos) << e.what();
+    }
+  }
+  // The cap itself parses; one level more does not.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(Json::parse(nested(Json::kMaxDepth)).dump(), nested(Json::kMaxDepth));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), JsonError);
+  // Depth is nesting, not a count of containers: siblings do not add up.
+  std::string siblings = "[";
+  for (int i = 0; i < 2 * Json::kMaxDepth; ++i) siblings += i == 0 ? "[]" : ",{}";
+  siblings += "]";
+  EXPECT_EQ(Json::parse(siblings).array_items().size(), 2u * Json::kMaxDepth);
+}
+
+TEST(Json, WriterEscapesByteForByte) {
+  EXPECT_EQ(Json("\"\\\b\f\n\r\t").dump(), R"("\"\\\b\f\n\r\t")");
+  EXPECT_EQ(Json(std::string("\x01 \x1f", 3)).dump(), R"("\u0001 \u001f")");
+  EXPECT_EQ(Json(std::string("a\0b", 3)).dump(), R"("a\u0000b")");
+  // DEL and multi-byte UTF-8 pass through unescaped.
+  EXPECT_EQ(Json("\x7f h\xc3\xa9llo \xe2\x82\xac").dump(), "\"\x7f h\xc3\xa9llo \xe2\x82\xac\"");
+  // Unescaped runs around escapes, and keys escape like values.
+  Json object = Json::make_object();
+  object.set("k\"ey", "ab\ncd\\");
+  EXPECT_EQ(object.dump(), R"({"k\"ey":"ab\ncd\\"})");
+  EXPECT_EQ(Json("").dump(), R"("")");
+}
+
+TEST(Json, WriterPrintsInt64Extremes) {
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(), "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::max()).dump(), "9223372036854775807");
+  EXPECT_EQ(Json(0).dump(), "0");
+  EXPECT_EQ(Json(-7).dump(), "-7");
+}
+
+TEST(Json, PrettyDumpOfNestedContainers) {
+  const Json v = Json::parse(R"({"a":[],"b":{},"c":[1,[true,{}]],"d":{"e":[null]}})");
+  EXPECT_EQ(v.dump(2),
+            "{\n"
+            "  \"a\": [],\n"
+            "  \"b\": {},\n"
+            "  \"c\": [\n"
+            "    1,\n"
+            "    [\n"
+            "      true,\n"
+            "      {}\n"
+            "    ]\n"
+            "  ],\n"
+            "  \"d\": {\n"
+            "    \"e\": [\n"
+            "      null\n"
+            "    ]\n"
+            "  }\n"
+            "}");
+  EXPECT_EQ(Json::make_array().dump(2), "[]");
+  EXPECT_EQ(Json::make_object().dump(2), "{}");
+}
+
+TEST(Json, UncheckedReadersReturnZeroOrEmptyOnOtherTypes) {
+  const Json s("text");
+  EXPECT_FALSE(s.bool_value());
+  EXPECT_EQ(s.int_value(), 0);
+  EXPECT_EQ(s.number_value(), 0.0);
+  EXPECT_TRUE(s.array_items().empty());
+  EXPECT_TRUE(s.object_members().empty());
+  EXPECT_EQ(s.find("text"), nullptr);
+  EXPECT_TRUE(Json(1.5).string_value().empty());
+  EXPECT_EQ(Json(1.5).int_value(), 0);
+  EXPECT_EQ(Json(4).number_value(), 4.0);
+  EXPECT_TRUE(Json().string_value().empty());
 }
 
 TEST(JsonView, ErrorsNameTheExactPath) {

@@ -128,16 +128,17 @@ int main(int argc, char** argv) {
   }
 
   const auto report = qfc::sweep::run_sweep(plan, workers);
-  const std::string bytes = report.json.dump(2) + "\n";
+  // The report is written as dumped, then its newline: no second copy.
+  const std::string bytes = report.json.dump(2);
   if (out_path.empty()) {
-    std::cout << bytes;
+    std::cout << bytes << '\n';
   } else {
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       std::cerr << "qfc_sweep: cannot write " << out_path << "\n";
       return 1;
     }
-    out << bytes;
+    out << bytes << '\n';
   }
   std::cerr << "qfc_sweep: " << report.num_scenarios << " scenario instances, "
             << report.num_failed << " failed\n";
