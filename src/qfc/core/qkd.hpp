@@ -137,8 +137,6 @@ class MultiplexedQkdLink {
                      UserEndpointParams endpoint = {},
                      fiber::FiberParams fiber = {});
 
-  const UserEndpointParams& endpoint() const noexcept { return endpoint_; }
-  const fiber::FiberParams& fiber() const noexcept { return fiber_; }
 
   QkdChannelPerformance channel_performance(int k, double distance_km) const;
 

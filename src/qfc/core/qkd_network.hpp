@@ -133,7 +133,6 @@ class QkdNetwork {
   /// every channel with a single window.
   QkdNetwork(const TimebinExperiment& experiment, QkdNetworkConfig config);
 
-  const QkdNetworkConfig& config() const noexcept { return cfg_; }
   std::size_t num_users() const noexcept { return cfg_.users.size(); }
 
   /// Resolved channel-pair assignment for one user (auto assignments

@@ -117,10 +117,4 @@ std::vector<double> finalize_clicks(const double* begin, const double* end,
 
 }  // namespace detail
 
-double SinglePhotonDetector::expected_singles_rate_hz(double photon_rate_hz) const {
-  if (photon_rate_hz < 0)
-    throw std::invalid_argument("expected_singles_rate_hz: negative rate");
-  return photon_rate_hz * params_.efficiency + params_.dark_rate_hz;
-}
-
 }  // namespace qfc::detect

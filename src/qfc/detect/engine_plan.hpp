@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file engine_plan.hpp
-/// Internal: the event engine's one generation path. ChannelPlan holds the
-/// validated sampler parameters of a ChannelPairSpec, in detected photons;
+/// Internal: the event engine's one generation path. ChannelPlan holds a
+/// validated ChannelPairSpec's emission, rescaled to detected photons;
 /// ClickGenerator runs every channel's stages (emission, backgrounds,
 /// jitter, darks, dead time) window by window on the per-stage sub-streams
 /// of channel_rng.hpp.
@@ -28,14 +28,16 @@ namespace qfc::detect::detail {
 
 /// Per-channel generation plan, fully validated before any parallel work.
 /// Everything in it is in *detected* photons: make_plan folds each arm's
-/// detector efficiency into the sampler's per-arm transmission and into the
-/// spec-level and piecewise background rates, so the samplers draw only
-/// photons that click and the detector stage is jitter alone.
+/// detector efficiency into the pair transmissions and into the spec-level
+/// and schedule background rates, so the samplers draw only photons that
+/// click and the detector stage is jitter alone. `pulsed` and `segments`
+/// are the spec's own (the segments with thinned backgrounds); only the
+/// mode's one is read.
 struct ChannelPlan {
   EmissionMode mode = EmissionMode::Cw;
-  PairStreamParams cw;
-  PulsedStreamParams pulsed;
-  PiecewiseStreamParams piecewise;  ///< segment backgrounds already thinned
+  PairStreamParams pair;              ///< pair rate is 0 unless mode == Cw
+  PulsedEmission pulsed;
+  std::vector<RateSegment> segments;  ///< schedule backgrounds already thinned
   double bg_a = 0;  ///< detected spec-level background rate, signal arm
   double bg_b = 0;  ///< detected spec-level background rate, idler arm
 };
@@ -45,56 +47,33 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
   if (spec.transmission_signal < 0 || spec.transmission_signal > 1 ||
       spec.transmission_idler < 0 || spec.transmission_idler > 1)
     throw std::invalid_argument("ChannelPairSpec: transmission outside [0,1]");
+  if (spec.emission != EmissionMode::Cw && spec.pair_rate_hz != 0)
+    throw std::invalid_argument(
+        spec.emission == EmissionMode::Pulsed
+            ? "ChannelPairSpec: Pulsed mode needs pair_rate_hz == 0 (the rate is "
+              "mean_pairs_per_pulse x repetition_rate_hz)"
+            : "ChannelPairSpec: PiecewiseRates mode needs pair_rate_hz == 0 (the "
+              "segments carry the pair rate)");
+  if (spec.emission == EmissionMode::Pulsed) spec.pulsed.validate();
+  if (spec.emission == EmissionMode::PiecewiseRates)
+    validate_segments(spec.segments, duration_s);
   const double eff_a = spec.detector_signal.efficiency;
   const double eff_b = spec.detector_idler.efficiency;
-  const double eta_a = spec.transmission_signal * eff_a;
-  const double eta_b = spec.transmission_idler * eff_b;
-  ChannelPlan plan;
-  plan.mode = spec.emission;
-  plan.bg_a = spec.background_rate_signal_hz * eff_a;
-  plan.bg_b = spec.background_rate_idler_hz * eff_b;
-  switch (spec.emission) {
-    case EmissionMode::Cw:
-      plan.cw.pair_rate_hz = spec.pair_rate_hz;
-      plan.cw.linewidth_hz = spec.linewidth_hz;
-      plan.cw.duration_s = duration_s;
-      plan.cw.transmission_a = eta_a;
-      plan.cw.transmission_b = eta_b;
-      plan.cw.validate();
-      break;
-    case EmissionMode::Pulsed:
-      if (spec.pair_rate_hz != 0)
-        throw std::invalid_argument(
-            "ChannelPairSpec: Pulsed mode needs pair_rate_hz == 0 (the rate is "
-            "mean_pairs_per_pulse x repetition_rate_hz)");
-      plan.pulsed.repetition_rate_hz = spec.pulsed.repetition_rate_hz;
-      plan.pulsed.mean_pairs_per_pulse = spec.pulsed.mean_pairs_per_pulse;
-      plan.pulsed.pulse_sigma_s = spec.pulsed.pulse_sigma_s;
-      plan.pulsed.bin_separation_s = spec.pulsed.bin_separation_s;
-      plan.pulsed.late_fraction = spec.pulsed.late_fraction;
-      plan.pulsed.linewidth_hz = spec.linewidth_hz;
-      plan.pulsed.duration_s = duration_s;
-      plan.pulsed.transmission_a = eta_a;
-      plan.pulsed.transmission_b = eta_b;
-      plan.pulsed.validate();
-      break;
-    case EmissionMode::PiecewiseRates:
-      if (spec.pair_rate_hz != 0)
-        throw std::invalid_argument(
-            "ChannelPairSpec: PiecewiseRates mode needs pair_rate_hz == 0 (the "
-            "segments carry the pair rate)");
-      plan.piecewise.segments = spec.segments;
-      plan.piecewise.linewidth_hz = spec.linewidth_hz;
-      plan.piecewise.duration_s = duration_s;
-      plan.piecewise.transmission_a = eta_a;
-      plan.piecewise.transmission_b = eta_b;
-      plan.piecewise.validate();
-      for (RateSegment& seg : plan.piecewise.segments) {
-        seg.background_rate_signal_hz *= eff_a;
-        seg.background_rate_idler_hz *= eff_b;
-      }
-      break;
+  ChannelPlan plan{.mode = spec.emission,
+                   .pair = {.pair_rate_hz = spec.pair_rate_hz,
+                            .linewidth_hz = spec.linewidth_hz,
+                            .duration_s = duration_s,
+                            .transmission_a = spec.transmission_signal * eff_a,
+                            .transmission_b = spec.transmission_idler * eff_b},
+                   .pulsed = spec.pulsed,
+                   .segments = spec.segments,
+                   .bg_a = spec.background_rate_signal_hz * eff_a,
+                   .bg_b = spec.background_rate_idler_hz * eff_b};
+  for (RateSegment& seg : plan.segments) {
+    seg.background_rate_signal_hz *= eff_a;
+    seg.background_rate_idler_hz *= eff_b;
   }
+  plan.pair.validate();
   return plan;
 }
 

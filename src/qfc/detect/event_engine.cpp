@@ -134,7 +134,7 @@ struct ClickGenerator::Arm {
       }
       if (plan.mode == EmissionMode::PiecewiseRates) {
         fresh.clear();
-        pwbg.advance(plan.piecewise.segments, pwbg_rate, duration_s, theta, g_pwbg, fresh);
+        pwbg.advance(plan.segments, pwbg_rate, duration_s, theta, g_pwbg, fresh);
         merge_into(arrivals, fresh);
       }
     }
@@ -154,7 +154,7 @@ struct ClickGenerator::Arm {
     std::vector<double> darks, schedule_darks;
     if (det.dark_rate_hz > 0) dark.advance(det.dark_rate_hz, duration_s, until_s, g_dark, darks);
     if (plan.mode == EmissionMode::PiecewiseRates)
-      pwdark.advance(plan.piecewise.segments, pwdark_rate, duration_s, until_s, g_pwdark,
+      pwdark.advance(plan.segments, pwdark_rate, duration_s, until_s, g_pwdark,
                      schedule_darks);
     const auto done = std::lower_bound(clicks.begin(), clicks.end(), until_s);
     violations += count_below(clicks.begin(), done, prev_until);
@@ -246,13 +246,13 @@ void ClickGenerator::process_channel(Channel& ch, double until_s, bool last,
   // Pairs go straight into the carried arrival buffers.
   switch (ch.plan.mode) {
     case EmissionMode::Cw:
-      ch.pairs.advance(ch.plan.cw, emit_to, ch.g_pair, ch.arrivals);
+      ch.pairs.advance(ch.plan.pair, emit_to, ch.g_pair, ch.arrivals);
       break;
     case EmissionMode::Pulsed:
-      ch.pairs.advance(ch.plan.pulsed, emit_to, ch.g_pair, ch.arrivals);
+      ch.pairs.advance(ch.plan.pair, ch.plan.pulsed, emit_to, ch.g_pair, ch.arrivals);
       break;
     case EmissionMode::PiecewiseRates:
-      ch.pairs.advance(ch.plan.piecewise, emit_to, ch.g_pair, ch.arrivals);
+      ch.pairs.advance(ch.plan.pair, ch.plan.segments, emit_to, ch.g_pair, ch.arrivals);
       break;
   }
   if (obs::metrics_enabled() && !started_)

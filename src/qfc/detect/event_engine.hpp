@@ -53,7 +53,7 @@ struct EventTable {
   const double* channel_begin(std::size_t c) const;
   const double* channel_end(std::size_t c) const;
 
-  /// Copy of one channel's column, for the single-stream legacy APIs
+  /// Copy of one channel's column, for the single-stream analyses
   /// (measure_car, correlate, ...).
   std::vector<double> channel_clicks(std::size_t c) const;
 
@@ -65,8 +65,7 @@ struct EventTable {
 
 /// How a channel pair's emission is distributed in time.
 enum class EmissionMode {
-  /// Homogeneous Poisson pair times at ChannelPairSpec::pair_rate_hz —
-  /// the original engine behavior, bit-for-bit unchanged.
+  /// Homogeneous Poisson pair times at ChannelPairSpec::pair_rate_hz.
   Cw,
   /// Pair times locked to a pump pulse train (ChannelPairSpec::pulsed):
   /// per-pulse Poisson pair number, Gaussian envelope jitter, optional
@@ -77,17 +76,6 @@ enum class EmissionMode {
   /// be 0; spec-level backgrounds and detector dark rates stay active and
   /// compose additively with the per-segment rates.
   PiecewiseRates,
-};
-
-/// Pulse-train parameters consumed when emission == EmissionMode::Pulsed
-/// (see PulsedStreamParams for the generation semantics; linewidth and
-/// per-arm transmission come from the enclosing ChannelPairSpec).
-struct PulsedEmission {
-  double repetition_rate_hz = 0;   ///< pump pulse repetition rate
-  double mean_pairs_per_pulse = 0; ///< mean pair number per repetition period
-  double pulse_sigma_s = 0;        ///< Gaussian emission-time jitter (1σ)
-  double bin_separation_s = 0;     ///< 0 = single pulse; > 0 = early/late bins
-  double late_fraction = 0.5;      ///< probability a pair is born in the late bin
 };
 
 /// Physics + collection chain of one comb channel pair.
@@ -124,8 +112,6 @@ struct EngineResult {
 class EventEngine {
  public:
   explicit EventEngine(EngineConfig cfg);
-
-  const EngineConfig& config() const noexcept { return cfg_; }
 
   /// Full chain for all channel pairs: correlated pair generation with
   /// per-arm transmission × detector efficiency (only detected photons are

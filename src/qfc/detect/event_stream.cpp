@@ -109,6 +109,12 @@ void sort_if_needed(PairStreams& s) {
   if (!std::is_sorted(s.b.begin(), s.b.end())) std::sort(s.b.begin(), s.b.end());
 }
 
+}  // namespace
+
+// ------------------------------------------------------------ samplers
+
+namespace detail {
+
 void validate_segments(const std::vector<RateSegment>& segments, double duration_s) {
   if (segments.empty())
     throw std::invalid_argument("RateSegment schedule: no segments");
@@ -128,12 +134,6 @@ void validate_segments(const std::vector<RateSegment>& segments, double duration
     throw std::invalid_argument(
         "RateSegment schedule: segments do not cover the stream duration");
 }
-
-}  // namespace
-
-// ------------------------------------------------------------ samplers
-
-namespace detail {
 
 void Sampler::advance(double rate_hz, double duration_s, double target_s,
                       rng::Xoshiro256& g, std::vector<double>& out) {
@@ -163,25 +163,25 @@ void Sampler::advance(const PairStreamParams& p, double target_s, rng::Xoshiro25
       [&](double t) { emit_pair(t, scale, p.duration_s, thin, out, g); });
 }
 
-void Sampler::advance(const PiecewiseStreamParams& p, double target_s,
-                      rng::Xoshiro256& g, PairStreams& out) {
+void Sampler::advance(const PairStreamParams& p, const std::vector<RateSegment>& segments,
+                      double target_s, rng::Xoshiro256& g, PairStreams& out) {
   const double scale = delay_scale(p.linewidth_hz);
   const Thinning thin(p.transmission_a, p.transmission_b);
   advance_poisson(
-      *this, p.segments.size(),
-      [&](std::size_t k) { return p.segments[k].pair_rate_hz * thin.p_any; },
-      [&](std::size_t k) { return p.segments[k].duration_s; }, p.duration_s, target_s,
-      g, [&](double t) { emit_pair(t, scale, p.duration_s, thin, out, g); });
+      *this, segments.size(),
+      [&](std::size_t k) { return segments[k].pair_rate_hz * thin.p_any; },
+      [&](std::size_t k) { return segments[k].duration_s; }, p.duration_s, target_s, g,
+      [&](double t) { emit_pair(t, scale, p.duration_s, thin, out, g); });
 }
 
-void Sampler::advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro256& g,
-                      PairStreams& out) {
+void Sampler::advance(const PairStreamParams& p, const PulsedEmission& pulsed,
+                      double target_s, rng::Xoshiro256& g, PairStreams& out) {
   const Thinning thin(p.transmission_a, p.transmission_b);
-  const double mu = p.mean_pairs_per_pulse * thin.p_any;  // surviving pairs per slot
+  const double mu = pulsed.mean_pairs_per_pulse * thin.p_any;  // surviving pairs per slot
   if (mu == 0) return;
   const double scale = delay_scale(p.linewidth_hz);
-  const double period = 1.0 / p.repetition_rate_hz;
-  const bool double_pulse = p.bin_separation_s > 0;
+  const double period = 1.0 / pulsed.repetition_rate_hz;
+  const bool double_pulse = pulsed.bin_separation_s > 0;
   // Visit only the slots holding a surviving pair: a slot's surviving pair
   // number is Poisson with mean mu (thinning), so occupancy is Bernoulli
   // with p_occ = 1 - e^-mu per slot, the index gap to the next occupied
@@ -200,9 +200,9 @@ void Sampler::advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro
     const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
     for (std::uint64_t i = 0; i < n; ++i) {
       double t0 = t_pulse;
-      if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
-        t0 += p.bin_separation_s;
-      if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
+      if (double_pulse && rng::sample_bernoulli(g, pulsed.late_fraction))
+        t0 += pulsed.bin_separation_s;
+      if (pulsed.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, pulsed.pulse_sigma_s);
       emit_pair(t0, scale, p.duration_s, thin, out, g);
     }
     next += 1.0 + std::floor(rng::sample_exponential(g, mu));
@@ -239,55 +239,18 @@ std::vector<double> generate_poisson_arrivals(double rate_hz, double duration_s,
   return out;
 }
 
-void PulsedStreamParams::validate() const {
+void PulsedEmission::validate() const {
   if (repetition_rate_hz <= 0)
-    throw std::invalid_argument("PulsedStreamParams: repetition rate <= 0");
+    throw std::invalid_argument("PulsedEmission: repetition rate <= 0");
   if (mean_pairs_per_pulse < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative mean pairs per pulse");
-  if (pulse_sigma_s < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative pulse jitter");
+    throw std::invalid_argument("PulsedEmission: negative mean pairs per pulse");
+  if (pulse_sigma_s < 0) throw std::invalid_argument("PulsedEmission: negative pulse jitter");
   if (bin_separation_s < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative bin separation");
+    throw std::invalid_argument("PulsedEmission: negative bin separation");
   if (bin_separation_s >= 1.0 / repetition_rate_hz)
-    throw std::invalid_argument(
-        "PulsedStreamParams: bin separation >= repetition period");
+    throw std::invalid_argument("PulsedEmission: bin separation >= repetition period");
   if (late_fraction < 0 || late_fraction > 1)
-    throw std::invalid_argument("PulsedStreamParams: late fraction outside [0,1]");
-  if (linewidth_hz <= 0) throw std::invalid_argument("PulsedStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PulsedStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PulsedStreamParams: transmission outside [0,1]");
-}
-
-PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
-                                          rng::Xoshiro256& g) {
-  p.validate();
-  PairStreams s;
-  reserve_pairs(s, p.mean_pairs_per_pulse * p.repetition_rate_hz * p.duration_s,
-                p.transmission_a, p.transmission_b);
-  detail::Sampler{}.advance(p, kInf, g, s);
-  // Within one repetition period pairs are emitted bin-unordered; across
-  // periods they are time-ordered, so the streams are nearly sorted.
-  sort_if_needed(s);
-  return s;
-}
-
-void PiecewiseStreamParams::validate() const {
-  validate_segments(segments, duration_s);
-  if (linewidth_hz <= 0)
-    throw std::invalid_argument("PiecewiseStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PiecewiseStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PiecewiseStreamParams: transmission outside [0,1]");
-}
-
-PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
-                                             rng::Xoshiro256& g) {
-  p.validate();
-  PairStreams s;
-  detail::Sampler{}.advance(p, kInf, g, s);
-  sort_if_needed(s);
-  return s;
+    throw std::invalid_argument("PulsedEmission: late fraction outside [0,1]");
 }
 
 std::vector<double> generate_piecewise_poisson_arrivals(
@@ -295,7 +258,7 @@ std::vector<double> generate_piecewise_poisson_arrivals(
     double duration_s, rng::Xoshiro256& g) {
   if (duration_s <= 0)
     throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0");
-  validate_segments(segments, duration_s);
+  detail::validate_segments(segments, duration_s);
   std::vector<double> out;
   detail::Sampler{}.advance(segments, rate, duration_s, kInf, g, out);
   return out;

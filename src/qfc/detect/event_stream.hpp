@@ -15,10 +15,14 @@
 /// engine folds the detector efficiency into the transmissions, so its
 /// samplers draw detected photons only.
 ///
-/// Every generate_* function is one advance to +∞ of a detail::Sampler
-/// below, the same resumable loop the event engine (event_engine.hpp)
-/// drives per channel and per window; multi-channel callers should use the
-/// engine rather than looping here.
+/// The emission vocabulary is PairStreamParams (shared by all three models)
+/// plus PulsedEmission or a RateSegment schedule; ChannelPairSpec
+/// (event_engine.hpp) carries the same types, so the engine samples a spec
+/// without translating it. The three generate_* functions below (CW pairs,
+/// homogeneous and piecewise Poisson singles) are one advance to +∞ of a
+/// detail::Sampler, the same resumable loop the event engine drives per
+/// channel and per window; pulsed and piecewise pair emission are reached
+/// through the engine only.
 
 #include <cstddef>
 #include <vector>
@@ -62,26 +66,23 @@ std::vector<double> generate_poisson_arrivals(double rate_hz, double duration_s,
 /// (Gaussian envelope jitter `pulse_sigma_s`), optionally displaced into
 /// the late time bin by `bin_separation_s` with probability
 /// `late_fraction` — so early/late bins are physical at the click level.
-struct PulsedStreamParams {
+/// Linewidth, duration and per-arm transmission come from the
+/// PairStreamParams it is sampled with.
+struct PulsedEmission {
   double repetition_rate_hz = 0;   ///< pump pulse repetition rate
   double mean_pairs_per_pulse = 0; ///< mean pair number per repetition period
   double pulse_sigma_s = 0;        ///< Gaussian emission-time jitter (1σ)
   double bin_separation_s = 0;     ///< 0 = single pulse; > 0 = early/late bins
   double late_fraction = 0.5;      ///< probability a pair is born in the late bin
-  double linewidth_hz = 0;         ///< Lorentzian FWHM of both photons
-  double duration_s = 0;           ///< experiment duration
-  double transmission_a = 1.0;     ///< survival probability, signal arm
-  double transmission_b = 1.0;     ///< survival probability, idler arm
 
   void validate() const;
 };
 
-PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
-                                          rng::Xoshiro256& g);
-
 /// One segment of a piecewise-constant emission schedule for a drifting
 /// source. Segments are consecutive starting at t = 0; the schedule must
-/// cover the full stream duration.
+/// cover the full stream duration. Sampled as pairs, `pair_rate_hz` drives
+/// each segment, with the delay and transmission semantics of the CW
+/// stream.
 struct RateSegment {
   double duration_s = 0;                  ///< length of this segment
   double pair_rate_hz = 0;                ///< on-chip pair rate in this segment
@@ -90,21 +91,6 @@ struct RateSegment {
   double dark_rate_signal_hz = 0;         ///< extra dark clicks, signal detector
   double dark_rate_idler_hz = 0;          ///< extra dark clicks, idler detector
 };
-
-/// Pair emission with a piecewise-constant rate (RateSegment::pair_rate_hz
-/// drives each segment); delay/transmission semantics as the CW kernel.
-struct PiecewiseStreamParams {
-  std::vector<RateSegment> segments;
-  double linewidth_hz = 0;      ///< Lorentzian FWHM of both photons
-  double duration_s = 0;        ///< experiment duration (segments must cover it)
-  double transmission_a = 1.0;  ///< survival probability, signal arm
-  double transmission_b = 1.0;  ///< survival probability, idler arm
-
-  void validate() const;
-};
-
-PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
-                                             rng::Xoshiro256& g);
 
 /// Inhomogeneous (piecewise-constant rate) Poisson arrivals over
 /// [0, duration): `rate` selects which RateSegment member drives each
@@ -123,7 +109,9 @@ namespace detail {
 /// The generate_* functions above are that one advance to +∞; the event
 /// engine (event_engine.hpp) advances window by window, and a batch run is
 /// its one-window case. A Sampler drives one loop for its whole life: the
-/// overload picks which one (same argument list as its generate_* twin).
+/// overload picks which one. The pulsed and schedule pair overloads take
+/// linewidth, duration and transmissions from `p` and ignore its
+/// `pair_rate_hz`: the PulsedEmission or the segments carry the rate.
 struct Sampler {
   std::size_t seg = 0;   ///< current RateSegment (0 for a homogeneous rate)
   double seg_start = 0;  ///< start time of that segment
@@ -137,11 +125,16 @@ struct Sampler {
                std::vector<double>& out);
   void advance(const PairStreamParams& p, double target_s, rng::Xoshiro256& g,
                PairStreams& out);
-  void advance(const PulsedStreamParams& p, double target_s, rng::Xoshiro256& g,
-               PairStreams& out);
-  void advance(const PiecewiseStreamParams& p, double target_s, rng::Xoshiro256& g,
-               PairStreams& out);
+  void advance(const PairStreamParams& p, const PulsedEmission& pulsed, double target_s,
+               rng::Xoshiro256& g, PairStreams& out);
+  void advance(const PairStreamParams& p, const std::vector<RateSegment>& segments,
+               double target_s, rng::Xoshiro256& g, PairStreams& out);
 };
+
+/// Throws std::invalid_argument unless `segments` is non-empty, every
+/// segment has a positive duration and non-negative rates, and together
+/// they cover [0, duration_s).
+void validate_segments(const std::vector<RateSegment>& segments, double duration_s);
 
 }  // namespace detail
 

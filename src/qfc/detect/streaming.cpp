@@ -86,13 +86,10 @@ EventStreamer& EventStreamer::operator=(EventStreamer&&) noexcept = default;
 
 bool EventStreamer::next(StreamWindow& out) { return impl_->next(out); }
 bool EventStreamer::done() const { return impl_->k >= impl_->num_windows; }
-std::size_t EventStreamer::next_window() const { return impl_->k; }
 std::size_t EventStreamer::num_windows() const { return impl_->num_windows; }
 std::uint64_t EventStreamer::boundary_violations() const {
   return impl_->gen.boundary_violations();
 }
-const EngineConfig& EventStreamer::config() const { return impl_->cfg; }
-const StreamConfig& EventStreamer::stream_config() const { return impl_->stream; }
 
 // ------------------------------------------------ streaming accumulators
 

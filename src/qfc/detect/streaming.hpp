@@ -89,7 +89,6 @@ class EventStreamer {
   bool next(StreamWindow& out);
 
   bool done() const;
-  std::size_t next_window() const;   ///< index the next next() call emits
   std::size_t num_windows() const;   ///< ceil(duration / window)
 
   /// Clicks or arrivals that materialized behind an already-finalized
@@ -97,9 +96,6 @@ class EventStreamer {
   /// any realistic run; nonzero means window contents are no longer
   /// bitwise comparable to batch.
   std::uint64_t boundary_violations() const;
-
-  const EngineConfig& config() const;
-  const StreamConfig& stream_config() const;
 
  private:
   struct Impl;

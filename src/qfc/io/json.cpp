@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
 namespace qfc::io {
 
@@ -31,6 +32,12 @@ const Json::Object& Json::empty_object() noexcept {
 Json Json::make_array(Array elements) {
   Json j;
   j.value_.emplace<Array>(std::move(elements));
+  return j;
+}
+
+Json Json::make_object(Object members) {
+  Json j;
+  j.value_.emplace<Object>(std::move(members));
   return j;
 }
 
@@ -153,24 +160,28 @@ class Parser {
       fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
   }
 
+  // Duplicate keys are found through a hash set of the keys read so far,
+  // and members are appended as parsed: linear in the member count, where
+  // a scan of the earlier members per key would be quadratic.
   Json parse_object(int depth) {
     check_depth(depth);
     expect('{', "'{'");
-    Json object = Json::make_object();
+    Json::Object members;
+    std::unordered_set<std::string> keys;
     skip_whitespace();
-    if (consume('}')) return object;
+    if (consume('}')) return Json::make_object();
     while (true) {
       skip_whitespace();
       if (peek() != '"') fail("expected a string object key");
       std::string key = parse_string();
-      if (object.find(key) != nullptr) fail("duplicate object key '" + key + "'");
+      if (!keys.insert(key).second) fail("duplicate object key '" + key + "'");
       skip_whitespace();
       expect(':', "':' after object key");
-      object.set(std::move(key), parse_value(depth));
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_whitespace();
       if (consume(',')) continue;
       expect('}', "',' or '}' in object");
-      return object;
+      return Json::make_object(std::move(members));
     }
   }
 

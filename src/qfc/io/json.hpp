@@ -85,6 +85,8 @@ class Json {
   static Json make_object() { Json j; j.value_.emplace<Object>(); return j; }
   /// Convenience: Json::make_array({Json(1), Json(2)}).
   static Json make_array(Array elements);
+  /// Takes the members as given: the caller guarantees the keys are unique.
+  static Json make_object(Object members);
 
   Type type() const noexcept { return static_cast<Type>(value_.index()); }
   bool is_null() const noexcept { return type() == Type::Null; }

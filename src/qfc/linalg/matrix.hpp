@@ -67,8 +67,6 @@ class Mat {
     return m;
   }
 
-  static Mat zeros(std::size_t r, std::size_t c) { return Mat(r, c); }
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return data_.size(); }
@@ -86,7 +84,6 @@ class Mat {
 
   T* data() noexcept { return data_.data(); }
   const T* data() const noexcept { return data_.data(); }
-  const std::vector<T>& storage() const noexcept { return data_; }
 
   Mat& operator+=(const Mat& o) {
     check_same_shape(o);

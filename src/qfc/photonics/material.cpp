@@ -7,9 +7,8 @@
 
 namespace qfc::photonics {
 
-SellmeierMaterial::SellmeierMaterial(Term t1, Term t2, double thermo_optic_per_K,
-                                     const char* name)
-    : t1_(t1), t2_(t2), dn_dT_(thermo_optic_per_K), name_(name) {}
+SellmeierMaterial::SellmeierMaterial(Term t1, Term t2, double thermo_optic_per_K)
+    : t1_(t1), t2_(t2), dn_dT_(thermo_optic_per_K) {}
 
 double SellmeierMaterial::index(double wavelength_m) const {
   if (wavelength_m <= 0) throw std::invalid_argument("SellmeierMaterial::index: wavelength <= 0");
@@ -37,14 +36,13 @@ double SellmeierMaterial::gvd_s2_per_m(double wavelength_m) const {
 
 const SellmeierMaterial& hydex() {
   // Surrogate fit: n(1550 nm) ≈ 1.70, normal bulk dispersion across S/C/L.
-  static const SellmeierMaterial m({1.88, 1.21e-14}, {0.08, 8.1e-11}, 1.0e-5, "Hydex");
+  static const SellmeierMaterial m({1.88, 1.21e-14}, {0.08, 8.1e-11}, 1.0e-5);
   return m;
 }
 
 const SellmeierMaterial& fused_silica() {
   // Two-term refit of Malitson (1965): n(1550 nm) ≈ 1.443.
-  static const SellmeierMaterial m({1.10, 8.464e-15}, {0.90, 9.7934e-11}, 8.6e-6,
-                                   "fused silica");
+  static const SellmeierMaterial m({1.10, 8.464e-15}, {0.90, 9.7934e-11}, 8.6e-6);
   return m;
 }
 

@@ -21,7 +21,7 @@ class SellmeierMaterial {
     double c_m2;       ///< resonance wavelength squared, m²
   };
 
-  SellmeierMaterial(Term t1, Term t2, double thermo_optic_per_K, const char* name);
+  SellmeierMaterial(Term t1, Term t2, double thermo_optic_per_K);
 
   /// Refractive index at vacuum wavelength (meters). Throws for wavelengths
   /// at/below the UV resonance of the model.
@@ -36,12 +36,9 @@ class SellmeierMaterial {
   /// dn/dT, 1/K — used for thermal resonance-drift modeling.
   double thermo_optic_per_K() const noexcept { return dn_dT_; }
 
-  const char* name() const noexcept { return name_; }
-
  private:
   Term t1_, t2_;
   double dn_dT_;
-  const char* name_;
 };
 
 /// Hydex-like high-index glass: n(1550 nm) ≈ 1.70, normal bulk dispersion,

@@ -24,7 +24,6 @@ class MicroringResonator {
                      double loss_db_per_m);
 
   double circumference_m() const noexcept { return circumference_; }
-  const Waveguide& waveguide() const noexcept { return waveguide_; }
 
   /// Single-pass field transmission a = 10^(−loss·L/20).
   double round_trip_amplitude() const;

@@ -42,8 +42,6 @@ struct CrossPolarizedPump {
   double frequency_te_hz = 0.0;
   double frequency_tm_hz = 0.0;
 
-  double total_power_w() const { return power_te_w + power_tm_w; }
-
   void validate() const {
     if (power_te_w < 0 || power_tm_w < 0)
       throw std::invalid_argument("CrossPolarizedPump: negative power");

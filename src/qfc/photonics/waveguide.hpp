@@ -28,13 +28,6 @@ namespace qfc::photonics {
 
 enum class Polarization { TE, TM };
 
-constexpr const char* polarization_name(Polarization p) {
-  return p == Polarization::TE ? "TE" : "TM";
-}
-constexpr Polarization orthogonal(Polarization p) {
-  return p == Polarization::TE ? Polarization::TM : Polarization::TE;
-}
-
 struct WaveguideGeometry {
   double width_m;   ///< horizontal core dimension
   double height_m;  ///< vertical core dimension
@@ -64,9 +57,6 @@ class Waveguide {
 
   /// Thermo-optic resonance drift input: dn_eff/dT ≈ dn_core/dT.
   double dn_dT_per_K() const;
-
-  const WaveguideGeometry& geometry() const noexcept { return geometry_; }
-  const SellmeierMaterial& material() const noexcept { return *material_; }
 
  private:
   double confinement_penalty(double wavelength_m, Polarization pol) const;

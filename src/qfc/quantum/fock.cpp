@@ -49,8 +49,6 @@ double TwoModeSqueezedVacuum::pair_number_probability(std::size_t n) const {
   return std::pow(x, static_cast<double>(n)) / (1.0 + mu_);
 }
 
-double TwoModeSqueezedVacuum::unheralded_g2() const { return 2.0; }
-
 double TwoModeSqueezedVacuum::heralded_g2(double eta) const {
   if (eta <= 0 || eta > 1)
     throw std::invalid_argument("heralded_g2: efficiency must be in (0,1]");

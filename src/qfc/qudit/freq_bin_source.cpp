@@ -38,13 +38,6 @@ FreqBinSource FreqBinSource::from_cw_source(const sfwm::CwPairSource& src,
   return FreqBinSource(src.grid(), src.pair_rates(), std::move(cfg));
 }
 
-FreqBinSource FreqBinSource::from_pulsed_source(const sfwm::PulsedPairSource& src,
-                                                std::size_t dimension) {
-  FreqBinConfig cfg;
-  cfg.dimension = dimension;
-  return FreqBinSource(src.grid(), src.mean_pairs_all(), std::move(cfg));
-}
-
 CVec FreqBinSource::bin_amplitudes() const {
   CVec c(cfg_.dimension);
   for (std::size_t k = 0; k < cfg_.dimension; ++k) {

@@ -42,13 +42,8 @@ class FreqBinSource {
   static FreqBinSource from_cw_source(const sfwm::CwPairSource& src,
                                       std::size_t dimension);
 
-  /// Bins from a pulsed source's per-channel mean pair numbers.
-  static FreqBinSource from_pulsed_source(const sfwm::PulsedPairSource& src,
-                                          std::size_t dimension);
-
   std::size_t dimension() const noexcept { return cfg_.dimension; }
   const photonics::CombGrid& grid() const noexcept { return grid_; }
-  const std::vector<double>& brightness() const noexcept { return brightness_; }
 
   /// Normalized bin amplitudes c_k (|c_k|² ∝ brightness, phases from cfg).
   CVec bin_amplitudes() const;

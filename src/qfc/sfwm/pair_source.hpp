@@ -52,7 +52,6 @@ class CwPairSource {
 
   const MicroringResonator& ring() const noexcept { return ring_; }
   const CombGrid& grid() const noexcept { return grid_; }
-  const photonics::CwPump& pump() const noexcept { return pump_; }
 
   /// Intracavity pump power = input power x on-resonance enhancement.
   double intracavity_power_w() const;
@@ -90,7 +89,6 @@ class PulsedPairSource {
 
   const MicroringResonator& ring() const noexcept { return ring_; }
   const CombGrid& grid() const noexcept { return grid_; }
-  const photonics::DoublePulsePump& pump() const noexcept { return pump_; }
 
   /// Transform-limited Gaussian pump spectral FWHM for the pulse width.
   double pump_bandwidth_hz() const;
@@ -101,8 +99,6 @@ class PulsedPairSource {
 
   /// Mean pairs generated per single pulse into channel pair k.
   double mean_pairs_per_pulse(int k) const;
-
-  std::vector<double> mean_pairs_all() const;
 
  private:
   MicroringResonator ring_;

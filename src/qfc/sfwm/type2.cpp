@@ -59,10 +59,6 @@ double Type2PairSource::stimulated_suppression_db() const {
                                        pump_.frequency_tm_hz);
 }
 
-double Type2PairSource::grid_offset_hz() const {
-  return te_tm_grid_offset_hz(ring_, pump_.frequency_te_hz);
-}
-
 double Type2PairSource::mean_pairs_per_coherence_time(int k) const {
   return pair_rate_hz(k) * coherence_time_s();
 }

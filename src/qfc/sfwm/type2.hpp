@@ -22,7 +22,6 @@ class Type2PairSource {
                   int num_channel_pairs, SfwmEfficiency eff = {});
 
   const MicroringResonator& ring() const noexcept { return ring_; }
-  const photonics::CrossPolarizedPump& pump() const noexcept { return pump_; }
 
   /// Geometric-mean intracavity pump power √(P_TE,cav · P_TM,cav).
   double effective_intracavity_power_w() const;
@@ -35,9 +34,6 @@ class Type2PairSource {
 
   /// Suppression of stimulated FWM enforced by the TE/TM grid offset, dB.
   double stimulated_suppression_db() const;
-
-  /// TE/TM resonance offset at the pump (the design parameter).
-  double grid_offset_hz() const;
 
   double photon_linewidth_hz() const;
   double coherence_time_s() const;

@@ -40,9 +40,4 @@ double predicted_visibility(const TimebinNoiseModel& m);
 quantum::DensityMatrix noisy_pair_state(const TimebinNoiseModel& m,
                                         double pump_phase_rad = 0.0);
 
-/// Four-photon state: two independent noisy pairs (paper Sec. V combines
-/// two Bell pairs from four comb lines into a product state).
-quantum::DensityMatrix noisy_four_photon_state(const TimebinNoiseModel& m,
-                                               double pump_phase_rad = 0.0);
-
 }  // namespace qfc::timebin

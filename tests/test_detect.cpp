@@ -1,4 +1,4 @@
-// Tests for the detection chain (S6): detector, TDC, coincidence counting,
+// Tests for the detection chain (S6): detector, coincidence counting,
 // CAR, fitters, event streams.
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "qfc/detect/detector.hpp"
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/detect/fit.hpp"
-#include "qfc/detect/tdc.hpp"
 #include "qfc/photonics/constants.hpp"
 
 namespace {
@@ -86,15 +85,6 @@ TEST(Detector, ValidationRejectsBadParams) {
   p.efficiency = 0.5;
   p.dark_rate_hz = -1;
   EXPECT_THROW(SinglePhotonDetector{p}, std::invalid_argument);
-}
-
-TEST(Tdc, QuantizesAndInverts) {
-  detect::TimeToDigitalConverter tdc(81e-12);
-  EXPECT_EQ(tdc.bin_of(0.0), 0);
-  EXPECT_EQ(tdc.bin_of(81e-12 * 5.5), 5);
-  EXPECT_EQ(tdc.bin_of(-1e-12), -1);
-  EXPECT_NEAR(tdc.time_of(5), 81e-12 * 5.5, 1e-18);
-  EXPECT_THROW(detect::TimeToDigitalConverter(0.0), std::invalid_argument);
 }
 
 TEST(Coincidence, FindsCorrelatedPairs) {

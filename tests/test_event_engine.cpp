@@ -412,6 +412,49 @@ TEST(EmissionModes, ValidationErrors) {
   piecewise.pair_rate_hz = 0;
   piecewise.segments.clear();
   EXPECT_THROW(EventEngine(ec).run({piecewise}), std::invalid_argument);
+
+  // One bad field at a time on an otherwise valid spec, placed as channel 1
+  // behind a valid channel 0: the error names the failed check and the
+  // channel.
+  const ChannelPairSpec pulsed_ok = pulsed_test_spec(0.01, 0.0);
+  ChannelPairSpec piecewise_ok;
+  piecewise_ok.emission = detect::EmissionMode::PiecewiseRates;
+  piecewise_ok.linewidth_hz = 100e6;
+  piecewise_ok.segments = {detect::RateSegment{1.0, 1e3, 10, 10, 10, 10}};
+  const auto rejected_for = [&](const ChannelPairSpec& ok, auto&& edit,
+                                const std::string& what) -> testing::AssertionResult {
+    ChannelPairSpec bad = ok;
+    edit(bad);
+    try {
+      EventEngine(ec).run({ok, bad});
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      if (msg.rfind("channel 1: ", 0) == 0 && msg.find(what) != std::string::npos)
+        return testing::AssertionSuccess();
+      return testing::AssertionFailure() << "expected 'channel 1: ... " << what
+                                         << "', got '" << msg << "'";
+    }
+    return testing::AssertionFailure() << "accepted; expected '" << what << "'";
+  };
+  using Spec = ChannelPairSpec;
+  EXPECT_TRUE(rejected_for(pulsed_ok, [](Spec& s) { s.pulsed.repetition_rate_hz = 0; },
+                           "repetition rate <= 0"));
+  EXPECT_TRUE(rejected_for(pulsed_ok, [](Spec& s) { s.pulsed.mean_pairs_per_pulse = -0.1; },
+                           "negative mean pairs per pulse"));
+  EXPECT_TRUE(rejected_for(pulsed_ok, [](Spec& s) { s.pulsed.pulse_sigma_s = -1e-12; },
+                           "negative pulse jitter"));
+  EXPECT_TRUE(rejected_for(pulsed_ok, [](Spec& s) { s.pulsed.bin_separation_s = -1e-9; },
+                           "negative bin separation"));
+  EXPECT_TRUE(rejected_for(pulsed_ok, [](Spec& s) { s.linewidth_hz = 0; }, "linewidth <= 0"));
+  EXPECT_TRUE(
+      rejected_for(piecewise_ok, [](Spec& s) { s.linewidth_hz = -1; }, "linewidth <= 0"));
+  EXPECT_TRUE(rejected_for(piecewise_ok, [](Spec& s) { s.segments[0].duration_s = 0; },
+                           "segment duration <= 0"));
+  EXPECT_TRUE(rejected_for(
+      piecewise_ok, [](Spec& s) { s.segments[0].background_rate_idler_hz = -1; },
+      "negative rate"));
+  EXPECT_TRUE(rejected_for(piecewise_ok, [](Spec& s) { s.segments[0].dark_rate_signal_hz = -1; },
+                           "negative rate"));
 }
 
 TEST(BatchedAnalysis, CarMatrixMatchesMeasureCar) {

@@ -5,6 +5,7 @@
 // parity for every registered experiment.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -96,6 +97,35 @@ TEST(Json, ParseErrorsCarryLineAndColumn) {
   EXPECT_THROW(Json::parse("[1, 2,]"), JsonError);
   EXPECT_THROW(Json::parse("{} trailing"), JsonError);
   EXPECT_THROW(Json::parse("1e999"), JsonError);
+}
+
+TEST(Json, LargeObjectKeepsOrderAndReportsALateDuplicateAtItsPosition) {
+  // One key per line: line 1 is '{', key i sits on line i + 2. A parse that
+  // rescans earlier keys per key would take minutes here.
+  const std::size_t n = 200000;
+  const auto key = [](std::size_t i) { return std::string("k").append(std::to_string(i)); };
+  std::string text = "{\n";
+  for (std::size_t i = 0; i < n; ++i)
+    text.append("\"").append(key(i)).append("\": ").append(std::to_string(i)).append(",\n");
+  const std::string unique = text.substr(0, text.size() - 2).append("\n}");
+  const Json object = Json::parse(unique);
+  const Json::Object& members = object.object_members();
+  ASSERT_EQ(members.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(members[i].first, key(i));
+    ASSERT_EQ(members[i].second.int_value(), static_cast<std::int64_t>(i));
+  }
+
+  // The duplicate of k7 on line n + 2 is reported just past its key.
+  try {
+    Json::parse(text.append("\"k7\": 0\n}"));
+    FAIL() << "duplicate key accepted";
+  } catch (const JsonError& e) {
+    const std::string expected = std::string("line ")
+                                     .append(std::to_string(n + 2))
+                                     .append(", column 5: duplicate object key 'k7'");
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
 }
 
 TEST(Json, ParseRejectsNestingPastTheCapWithPosition) {

@@ -14,6 +14,7 @@
 // Exit codes: 0 success; 1 usage/config/I/O error; 2 selfcheck divergence;
 // 3 one or more scenario instances failed (the report still lists them).
 
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -25,6 +26,20 @@
 #include "qfc/sweep/sweep.hpp"
 
 namespace {
+
+/// Writes the report and its newline to `out`, then flushes it; a write
+/// that fails in either step (a full disk, a closed pipe) is reported with
+/// `path` and the system error, and returns false.
+bool write_report(std::ostream& out, const std::string& bytes, const std::string& path) {
+  errno = 0;
+  out << bytes << '\n';
+  if (out) out.flush();
+  if (out) return true;
+  const int err = errno;
+  std::cerr << "qfc_sweep: cannot write " << path << ": "
+            << (err != 0 ? std::strerror(err) : "write failed") << "\n";
+  return false;
+}
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -131,14 +146,14 @@ int main(int argc, char** argv) {
   // The report is written as dumped, then its newline: no second copy.
   const std::string bytes = report.json.dump(2);
   if (out_path.empty()) {
-    std::cout << bytes << '\n';
+    if (!write_report(std::cout, bytes, "<stdout>")) return 1;
   } else {
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       std::cerr << "qfc_sweep: cannot write " << out_path << "\n";
       return 1;
     }
-    out << bytes << '\n';
+    if (!write_report(out, bytes, out_path)) return 1;
   }
   std::cerr << "qfc_sweep: " << report.num_scenarios << " scenario instances, "
             << report.num_failed << " failed\n";
