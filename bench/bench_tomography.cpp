@@ -54,9 +54,28 @@ int main() {
                 lin_evals.back());
   }
 
-  const bool ok = std::abs(r.four_photon_fidelity - 0.64) < 0.12 &&
-                  r.bell_fidelity_a > 0.75 && r.bell_fidelity_b > 0.75;
+  // The verdict gates means over a fixed seed set, not the one realization
+  // above: at 250 shots/setting a single seed misses the Bell bound on ~30%
+  // of seeds from shot noise alone.
+  constexpr int kSeeds = 16;
+  const std::uint64_t first_seed = core::FourPhotonConfig{}.seed;
+  double mean_a = 0, mean_b = 0, mean_four = 0;
+  for (int k = 0; k < kSeeds; ++k) {
+    core::FourPhotonConfig cfg;
+    cfg.seed = first_seed + static_cast<std::uint64_t>(k);
+    const auto rk = k == 0 ? r : comb.four_photon(cfg).run();
+    mean_a += rk.bell_fidelity_a / kSeeds;
+    mean_b += rk.bell_fidelity_b / kSeeds;
+    mean_four += rk.four_photon_fidelity / kSeeds;
+  }
+  std::printf("\nmeans over seeds %llu-%llu: pair A %.3f, pair B %.3f, four-photon %.3f\n",
+              static_cast<unsigned long long>(first_seed),
+              static_cast<unsigned long long>(first_seed + kSeeds - 1), mean_a, mean_b,
+              mean_four);
+
+  const bool ok = std::abs(mean_four - 0.64) < 0.12 && mean_a > 0.75 && mean_b > 0.75;
   bench::verdict(ok, "four-photon fidelity ≈ 64% with high per-pair Bell "
-                     "fidelities; MLE beats raw linear inversion at low counts");
+                     "fidelities (means over 16 seeds); MLE beats raw linear "
+                     "inversion at low counts");
   return ok ? 0 : 1;
 }

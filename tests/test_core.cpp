@@ -163,18 +163,31 @@ TEST(FourPhotonExperimentTest, VisibilityAndFidelityNearPaper) {
       core::PumpConfiguration::DoublePulseFourMode);
   core::FourPhotonConfig cfg;
   cfg.tomo_shots_per_setting = 150;  // keep the test fast
-  auto exp = comb.four_photon(cfg);
-  const auto r = exp.run();
 
-  // Four-photon interference: ~89% raw visibility.
-  EXPECT_GT(r.analytic_visibility, 0.84);
-  EXPECT_LT(r.analytic_visibility, 0.94);
+  // The fidelities are gated as means over a fixed seed set: at 150
+  // shots/setting one realization misses the Bell bound on about a third
+  // of seeds from shot noise alone.
+  constexpr int kSeeds = 16;
+  const std::uint64_t first_seed = cfg.seed;
+  double mean_a = 0, mean_b = 0, mean_four = 0;
+  for (int k = 0; k < kSeeds; ++k) {
+    cfg.seed = first_seed + static_cast<std::uint64_t>(k);
+    const auto r = comb.four_photon(cfg).run();
+
+    // Four-photon interference: ~89% raw visibility.
+    EXPECT_GT(r.analytic_visibility, 0.84) << "seed " << cfg.seed;
+    EXPECT_LT(r.analytic_visibility, 0.94) << "seed " << cfg.seed;
+
+    mean_a += r.bell_fidelity_a / kSeeds;
+    mean_b += r.bell_fidelity_b / kSeeds;
+    mean_four += r.four_photon_fidelity / kSeeds;
+  }
 
   // Bell fidelities high, four-photon tomographic fidelity near 64%.
-  EXPECT_GT(r.bell_fidelity_a, 0.75);
-  EXPECT_GT(r.bell_fidelity_b, 0.75);
-  EXPECT_GT(r.four_photon_fidelity, 0.5);
-  EXPECT_LT(r.four_photon_fidelity, 0.85);
+  EXPECT_GT(mean_a, 0.75);
+  EXPECT_GT(mean_b, 0.75);
+  EXPECT_GT(mean_four, 0.5);
+  EXPECT_LT(mean_four, 0.85);
 }
 
 TEST(FourPhotonExperimentTest, JsonReportsSolverConvergence) {

@@ -1,7 +1,9 @@
 // Unit + statistical tests for the RNG substrate (S2). Statistical checks
 // use wide (5+ sigma) tolerances so they are deterministic in practice.
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +114,121 @@ TEST(DoubleExponential, SymmetricWithLaplaceVariance) {
   EXPECT_NEAR(sum / n, 0.0, 0.01);
   // Var(Laplace) = 2/λ².
   EXPECT_NEAR(sum2 / n, 2.0 / (lambda * lambda), 0.02);
+}
+
+// Distribution checks for the ziggurat samplers. Each draws 4 * 10^6
+// variates and compares them with the analytic law: the Kolmogorov-Smirnov
+// statistic sqrt(n) * D against the 0.1% critical value 1.95, the mass
+// beyond the base-layer edge r (where the tail branch takes over) within
+// 5 sigma of the binomial count, and the sign balance.
+constexpr int kDistributionDraws = 4000000;
+constexpr double kKsCritical = 1.95;
+constexpr double kNormalBaseEdge = 3.4426198558966519;  // 128 normal layers
+constexpr double kExpBaseEdge = 7.6971174701310492;     // 256 exponential layers
+
+template <class Draw>
+std::vector<double> draw_many(std::uint64_t seed, Draw draw) {
+  Xoshiro256 g(seed);
+  std::vector<double> xs(kDistributionDraws);
+  for (auto& x : xs) x = draw(g);
+  return xs;
+}
+
+/// sqrt(n) * sup |F_n - F| of the (sorted in place) sample against `cdf`.
+template <class Cdf>
+double ks_statistic(std::vector<double>& xs, Cdf cdf) {
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  double d = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  return std::sqrt(n) * d;
+}
+
+/// Expects `count` of `n` draws within 5 sigma of the binomial mean n * p.
+void expect_binomial_count(std::size_t count, double p, const char* what) {
+  const double n = kDistributionDraws;
+  EXPECT_NEAR(static_cast<double>(count), n * p, 5.0 * std::sqrt(n * p * (1 - p))) << what;
+}
+
+std::size_t count_if_beyond(const std::vector<double>& xs, double edge) {
+  return static_cast<std::size_t>(
+      std::count_if(xs.begin(), xs.end(), [&](double x) { return std::abs(x) > edge; }));
+}
+
+std::size_t count_negative(const std::vector<double>& xs) {
+  return static_cast<std::size_t>(
+      std::count_if(xs.begin(), xs.end(), [](double x) { return x < 0; }));
+}
+
+TEST(Normal, MatchesCdfTailAndSignBalance) {
+  auto xs = draw_many(40, [](Xoshiro256& g) { return qfc::rng::sample_normal(g); });
+  const auto two_sided_tail = [](double t) { return std::erfc(t / std::sqrt(2.0)); };
+  expect_binomial_count(count_if_beyond(xs, kNormalBaseEdge), two_sided_tail(kNormalBaseEdge),
+                        "|x| > r");
+  expect_binomial_count(count_if_beyond(xs, kNormalBaseEdge + 0.5),
+                        two_sided_tail(kNormalBaseEdge + 0.5), "|x| > r + 0.5");
+  expect_binomial_count(count_negative(xs), 0.5, "x < 0");
+  std::vector<double> tail;
+  for (double x : xs)
+    if (std::abs(x) > kNormalBaseEdge) tail.push_back(x);
+  const double tail_n = static_cast<double>(tail.size());
+  EXPECT_NEAR(static_cast<double>(count_negative(tail)), tail_n / 2, 2.5 * std::sqrt(tail_n))
+      << "tail sign balance";
+  EXPECT_LT(ks_statistic(xs, [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }),
+            kKsCritical);
+}
+
+TEST(Exponential, MatchesCdfAndTail) {
+  auto xs = draw_many(41, [](Xoshiro256& g) { return qfc::rng::sample_exponential(g, 1.0); });
+  expect_binomial_count(count_if_beyond(xs, kExpBaseEdge), std::exp(-kExpBaseEdge), "x > r");
+  expect_binomial_count(count_if_beyond(xs, kExpBaseEdge + 2.0), std::exp(-kExpBaseEdge - 2.0),
+                        "x > r + 2");
+  EXPECT_LT(ks_statistic(xs, [](double x) { return -std::expm1(-x); }), kKsCritical);
+}
+
+TEST(DoubleExponential, MatchesCdfTailAndSignBalance) {
+  const double lambda = 2.0;
+  auto xs = draw_many(
+      42, [&](Xoshiro256& g) { return qfc::rng::sample_double_exponential(g, lambda); });
+  expect_binomial_count(count_if_beyond(xs, kExpBaseEdge / lambda), std::exp(-kExpBaseEdge),
+                        "|x| > r / lambda");
+  expect_binomial_count(count_negative(xs), 0.5, "x < 0");
+  const auto laplace_cdf = [&](double x) {
+    return x < 0 ? 0.5 * std::exp(lambda * x) : 1.0 - 0.5 * std::exp(-lambda * x);
+  };
+  EXPECT_LT(ks_statistic(xs, laplace_cdf), kKsCritical);
+}
+
+/// Draw i of a fixed mix of the three ziggurat samplers.
+double mixed_draw(Xoshiro256& g, int i) {
+  switch (i % 3) {
+    case 0: return qfc::rng::sample_normal(g);
+    case 1: return qfc::rng::sample_exponential(g, 3.0);
+    default: return qfc::rng::sample_double_exponential(g, 0.5);
+  }
+}
+
+TEST(ZigguratSamplers, DrawsArePureFunctionsOfTheGenerator) {
+  // No sampler keeps state between calls: a copied generator reproduces
+  // the draws, and interleaving two generators changes neither sequence.
+  const int n = 30000;
+  const Xoshiro256 a(43), b(44);
+  const auto sequence = [&](Xoshiro256 g) {
+    std::vector<double> out(n);
+    for (int i = 0; i < n; ++i) out[static_cast<std::size_t>(i)] = mixed_draw(g, i);
+    return out;
+  };
+  const auto seq_a = sequence(a);
+  const auto seq_b = sequence(b);
+  EXPECT_EQ(sequence(a), seq_a);
+  Xoshiro256 ga = a, gb = b;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(mixed_draw(ga, i), seq_a[static_cast<std::size_t>(i)]) << "draw " << i;
+    ASSERT_EQ(mixed_draw(gb, i), seq_b[static_cast<std::size_t>(i)]) << "draw " << i;
+  }
 }
 
 class PoissonMoments : public ::testing::TestWithParam<double> {};

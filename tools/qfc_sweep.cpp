@@ -27,12 +27,13 @@
 
 namespace {
 
-/// Writes the report and its newline to `out`, then flushes it; a write
-/// that fails in either step (a full disk, a closed pipe) is reported with
-/// `path` and the system error, and returns false.
-bool write_report(std::ostream& out, const std::string& bytes, const std::string& path) {
+/// Runs `write` on `out`, then flushes it; a write that fails in either
+/// step (a full disk, a closed pipe) is reported with `path` and the
+/// system error, and returns false.
+template <class Write>
+bool write_checked(std::ostream& out, const std::string& path, Write write) {
   errno = 0;
-  out << bytes << '\n';
+  write(out);
   if (out) out.flush();
   if (out) return true;
   const int err = errno;
@@ -49,13 +50,23 @@ int usage(const char* argv0) {
 }
 
 int list_scenarios() {
-  for (const auto& scenario : qfc::sweep::ScenarioRegistry::instance().scenarios()) {
-    std::cout << scenario.name << "\n    " << scenario.description << "\n";
-    for (const auto& param : scenario.params)
-      std::cout << "    - " << param.name << " (" << param.type << "): "
-                << param.description << "\n";
-  }
-  return 0;
+  const bool written = write_checked(std::cout, "<stdout>", [](std::ostream& out) {
+    for (const auto& scenario : qfc::sweep::ScenarioRegistry::instance().scenarios()) {
+      out << scenario.name << "\n    " << scenario.description << "\n";
+      for (const auto& param : scenario.params)
+        out << "    - " << param.name << " (" << param.type << "): " << param.description
+            << "\n";
+    }
+  });
+  return written ? 0 : 1;
+}
+
+/// Reports a failed open of `path` with the system error; returns exit code 1.
+int open_failed(const std::string& path) {
+  const int err = errno;
+  std::cerr << "qfc_sweep: cannot open " << path << ": "
+            << (err != 0 ? std::strerror(err) : "open failed") << "\n";
+  return 1;
 }
 
 }  // namespace
@@ -101,11 +112,9 @@ int main(int argc, char** argv) {
   }
   if (config_path.empty()) return usage(argv[0]);
 
+  errno = 0;
   std::ifstream in(config_path);
-  if (!in) {
-    std::cerr << "qfc_sweep: cannot open " << config_path << "\n";
-    return 1;
-  }
+  if (!in) return open_failed(config_path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
 
@@ -137,23 +146,24 @@ int main(int argc, char** argv) {
       std::cerr << bytes1 << "\n";
       return 3;
     }
-    std::cout << "selfcheck OK: " << at1.num_scenarios
-              << " scenario instances, identical reports at 1/2/4 workers\n";
-    return 0;
+    const bool written = write_checked(std::cout, "<stdout>", [&](std::ostream& out) {
+      out << "selfcheck OK: " << at1.num_scenarios
+          << " scenario instances, identical reports at 1/2/4 workers\n";
+    });
+    return written ? 0 : 1;
   }
 
   const auto report = qfc::sweep::run_sweep(plan, workers);
   // The report is written as dumped, then its newline: no second copy.
   const std::string bytes = report.json.dump(2);
+  const auto write_report = [&](std::ostream& out) { out << bytes << '\n'; };
   if (out_path.empty()) {
-    if (!write_report(std::cout, bytes, "<stdout>")) return 1;
+    if (!write_checked(std::cout, "<stdout>", write_report)) return 1;
   } else {
+    errno = 0;
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "qfc_sweep: cannot write " << out_path << "\n";
-      return 1;
-    }
-    if (!write_report(out, bytes, out_path)) return 1;
+    if (!out) return open_failed(out_path);
+    if (!write_checked(out, out_path, write_report)) return 1;
   }
   std::cerr << "qfc_sweep: " << report.num_scenarios << " scenario instances, "
             << report.num_failed << " failed\n";
