@@ -47,7 +47,7 @@ int main() {
     const auto lin = tomo::linear_inversion(data);
     const auto lin_evals = linalg::hermitian_eigenvalues(lin);
     const auto lin_proj =
-        quantum::DensityMatrix(linalg::project_to_density_matrix(lin), 1e-6);
+        quantum::DensityMatrix(linalg::project_to_density_matrix(lin), rho.dims(), 1e-6);
     const auto mle = tomo::maximum_likelihood(data);
     std::printf("%10.0f %16.3f %16.3f %18.4f\n", shots,
                 quantum::fidelity(lin_proj, rho), quantum::fidelity(mle.rho, rho),

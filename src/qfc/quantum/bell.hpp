@@ -21,7 +21,16 @@ DensityMatrix werner_phi(double visibility, double phase_rad = 0.0);
 /// multi-photon states of paper Sec. V (four-mode -> two Bell pairs).
 StateVector bell_product(std::size_t num_pairs, double phase_rad = 0.0);
 
-/// Isotropic-noise model for an n-qubit target: p |ψ><ψ| + (1−p) I/2^n.
-DensityMatrix isotropic_noise(const StateVector& target, double p);
+/// Isotropic-noise model V |ψ><ψ| + (1−V) I/dim of any register — the
+/// standard noise family of the multi-photon and CGLMP studies.
+DensityMatrix isotropic_noise(const StateVector& target, double visibility);
+
+/// Two-particle state Σ_k c_k |k⟩|k⟩ from per-level pair amplitudes
+/// (normalized internally; the size sets d) — a frequency-bin pair with one
+/// amplitude per bin.
+StateVector from_pair_amplitudes(const CVec& pair_amplitudes);
+
+/// Maximally entangled pair (1/√d) Σ_k |k⟩|k⟩ of two d-level particles.
+StateVector maximally_entangled(std::size_t d);
 
 }  // namespace qfc::quantum

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
@@ -9,6 +10,17 @@
 namespace qfc::quantum {
 
 using linalg::cplx;
+
+namespace {
+
+/// Number of qubits of psi; throws unless every particle is a qubit.
+std::size_t qubit_count(const StateVector& psi, const char* who) {
+  if (psi.dims() != qubit_dims(psi.num_particles()))
+    throw std::invalid_argument(std::string(who) + ": need a qubit register");
+  return psi.num_particles();
+}
+
+}  // namespace
 
 const CMat& cnot_gate() {
   static const CMat m{{cplx(1, 0), cplx(0, 0), cplx(0, 0), cplx(0, 0)},
@@ -38,7 +50,7 @@ StateVector apply_two_qubit(const StateVector& psi, const CMat& gate, std::size_
                             std::size_t b) {
   if (gate.rows() != 4 || gate.cols() != 4)
     throw std::invalid_argument("apply_two_qubit: gate must be 4x4");
-  const std::size_t n = psi.num_qubits();
+  const std::size_t n = qubit_count(psi, "apply_two_qubit");
   if (a >= n || b >= n || a == b)
     throw std::invalid_argument("apply_two_qubit: bad qubit indices");
 
@@ -60,13 +72,13 @@ StateVector apply_two_qubit(const StateVector& psi, const CMat& gate, std::size_
       out[idx] += g * psi.amplitude(src);
     }
   }
-  return StateVector(std::move(out));
+  return StateVector(std::move(out), psi.dims());
 }
 
 StateVector graph_state(std::size_t num_qubits,
                         const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
-  StateVector psi(num_qubits);
-  for (std::size_t q = 0; q < num_qubits; ++q) psi = psi.apply_single(hadamard(), q);
+  StateVector psi(qubit_dims(num_qubits));
+  for (std::size_t q = 0; q < num_qubits; ++q) psi = psi.apply_local(hadamard(), q);
   for (const auto& [i, j] : edges) psi = apply_two_qubit(psi, cz_gate(), i, j);
   return psi;
 }
@@ -78,12 +90,12 @@ StateVector linear_cluster_state(std::size_t num_qubits) {
 }
 
 StateVector cluster_from_bell_pairs(const StateVector& two_bell_pairs) {
-  if (two_bell_pairs.num_qubits() != 4)
+  if (two_bell_pairs.dims() != qubit_dims(4))
     throw std::invalid_argument("cluster_from_bell_pairs: need a 4-qubit state");
   // |Φ>⊗|Φ> with H on qubits 1 and 3 equals the graph state of edges
   // {0-1, 2-3}; one more CZ on 1-2 links the pairs into a linear cluster.
-  StateVector psi = two_bell_pairs.apply_single(hadamard(), 1);
-  psi = psi.apply_single(hadamard(), 3);
+  StateVector psi = two_bell_pairs.apply_local(hadamard(), 1);
+  psi = psi.apply_local(hadamard(), 3);
   return apply_two_qubit(psi, cz_gate(), 1, 2);
 }
 
@@ -110,7 +122,7 @@ namespace {
 
 MeasurementOutcome project(const StateVector& psi, const CMat& p_plus, std::size_t q,
                            rng::Xoshiro256& g) {
-  const std::size_t n = psi.num_qubits();
+  const std::size_t n = psi.num_particles();
   // Apply the +1 projector on qubit q; the −1 branch is |ψ> − P|ψ>.
   const std::size_t shift = n - 1 - q;
   const std::size_t mask = std::size_t{1} << shift;
@@ -130,14 +142,14 @@ MeasurementOutcome project(const StateVector& psi, const CMat& p_plus, std::size
   if (rng::sample_bernoulli(g, p)) {
     out.result = +1;
     out.probability = p;
-    out.state = StateVector(std::move(plus));
+    out.state = StateVector(std::move(plus), psi.dims());
   } else {
     out.result = -1;
     out.probability = 1 - p;
     linalg::CVec minus(psi.dim(), linalg::cplx(0, 0));
     for (std::size_t idx = 0; idx < psi.dim(); ++idx)
       minus[idx] = psi.amplitude(idx) - plus[idx];
-    out.state = StateVector(std::move(minus));
+    out.state = StateVector(std::move(minus), psi.dims());
   }
   return out;
 }
@@ -146,13 +158,15 @@ MeasurementOutcome project(const StateVector& psi, const CMat& p_plus, std::size
 
 MeasurementOutcome measure_qubit_xy(const StateVector& psi, std::size_t q, double phi,
                                     rng::Xoshiro256& g) {
-  if (q >= psi.num_qubits()) throw std::out_of_range("measure_qubit_xy: bad qubit");
+  if (q >= qubit_count(psi, "measure_qubit_xy"))
+    throw std::out_of_range("measure_qubit_xy: bad qubit");
   return project(psi, projector(xy_eigenstate(phi, +1)), q, g);
 }
 
 MeasurementOutcome measure_qubit_z(const StateVector& psi, std::size_t q,
                                    rng::Xoshiro256& g) {
-  if (q >= psi.num_qubits()) throw std::out_of_range("measure_qubit_z: bad qubit");
+  if (q >= qubit_count(psi, "measure_qubit_z"))
+    throw std::out_of_range("measure_qubit_z: bad qubit");
   CMat p0(2, 2);
   p0(0, 0) = cplx(1, 0);
   return project(psi, p0, q, g);

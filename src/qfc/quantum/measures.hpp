@@ -2,14 +2,14 @@
 
 /// \file measures.hpp
 /// State metrics: purity, entropy, fidelity, trace distance, concurrence
-/// (two-qubit entanglement), and negativity (PPT criterion).
+/// (two-qubit entanglement), negativity (PPT criterion) and the Schmidt
+/// decomposition.
 ///
 /// Each metric comes in two flavors: a matrix-level overload operating on a
-/// raw density matrix / amplitude vector of *any* dimension (shared with the
-/// qudit layer in qfc::qudit), and a convenience overload on the validated
-/// qubit-register types. The matrix-level overloads assume the caller hands
-/// in a valid density matrix (Hermitian, unit trace, PSD); they do not
-/// re-validate.
+/// raw density matrix / amplitude vector of any dimension, and an overload
+/// on the validated register types (qubit and qudit registers alike). The
+/// matrix-level overloads assume the caller hands in a valid density matrix
+/// (Hermitian, unit trace, PSD); they do not re-validate.
 
 #include "qfc/quantum/state.hpp"
 
@@ -47,7 +47,8 @@ linalg::RVec schmidt_coefficients(const linalg::CVec& amps, std::size_t d1,
                                   std::size_t d2);
 
 // ------------------------------------------------------------------------
-// Qubit-register convenience overloads.
+// Register overloads. A split after k particles is the d1 x d2 bipartition
+// of the first k particles against the rest.
 
 double purity(const DensityMatrix& rho);
 double von_neumann_entropy_bits(const DensityMatrix& rho);
@@ -58,13 +59,17 @@ double trace_distance(const DensityMatrix& rho, const DensityMatrix& sigma);
 /// Wootters concurrence of a two-qubit state; 0 = separable, 1 = Bell.
 double concurrence(const DensityMatrix& rho);
 
-/// Negativity with the bipartition placed after the first
-/// `qubits_in_first_subsystem` qubits.
-double negativity(const DensityMatrix& rho, std::size_t qubits_in_first_subsystem);
+/// Negativity across the split after `particles_in_first_subsystem`
+/// particles.
+double negativity(const DensityMatrix& rho, std::size_t particles_in_first_subsystem);
 
-/// Schmidt coefficients of a qubit-register pure state split after
-/// `qubits_in_first_subsystem` qubits.
+/// Schmidt coefficients of a pure state split after
+/// `particles_in_first_subsystem` particles (descending, squares sum to 1).
 linalg::RVec schmidt_coefficients(const StateVector& psi,
-                                  std::size_t qubits_in_first_subsystem);
+                                  std::size_t particles_in_first_subsystem);
+
+/// Schmidt number K = 1/Σ λ⁴ of a bipartite pure state (effective number of
+/// entangled dimensions; d for the maximally entangled qudit pair).
+double schmidt_number(const StateVector& psi, std::size_t particles_in_first_subsystem = 1);
 
 }  // namespace qfc::quantum

@@ -1,8 +1,12 @@
 #pragma once
 
 /// \file state.hpp
-/// Multi-qubit pure states and density matrices. Qubit 0 is the most
-/// significant bit of the computational-basis index (|q0 q1 ... qn-1>).
+/// Pure states and density matrices of registers whose particles have
+/// arbitrary (not necessarily equal, not necessarily power-of-two)
+/// dimension: the time-bin qubits of the paper are Dims(n, 2) registers, the
+/// d-level frequency-bin systems of Kues et al. 2020 / Maltese et al. 2019
+/// are Dims{d, d} ones. Particle 0 owns the most significant digit of the
+/// mixed-radix computational-basis index (|q0 q1 ... qn-1>).
 
 #include <cstddef>
 #include <vector>
@@ -15,58 +19,69 @@ using linalg::cplx;
 using linalg::CMat;
 using linalg::CVec;
 
-/// Normalized pure state of n qubits.
+/// Per-particle dimensions, most significant digit first.
+using Dims = std::vector<std::size_t>;
+
+/// Dims of an n-qubit register, Dims(n, 2). Qubit-only consumers (CHSH,
+/// Franson, Pauli tomography, gates) compare a register's dims() to this.
+inline Dims qubit_dims(std::size_t n) { return Dims(n, 2); }
+
+/// Product of the per-particle dimensions; validates every entry >= 2 and
+/// caps the total at 4096 (Jacobi eigensolver territory).
+std::size_t total_dim(const Dims& dims);
+
+/// Normalized pure state of a mixed-radix register.
 class StateVector {
  public:
-  /// |0...0> of n qubits.
-  explicit StateVector(std::size_t num_qubits);
+  /// |0...0> with the given per-particle dimensions.
+  explicit StateVector(Dims dims);
 
-  /// From amplitudes (size must be a power of two); normalizes unless
-  /// already normalized, throws on the zero vector.
+  /// From amplitudes (size must equal the product of dims); normalizes
+  /// unless already normalized, throws on the zero vector.
+  StateVector(CVec amplitudes, Dims dims);
+
+  /// Qubit register from 2^n amplitudes (n >= 1): dims are qubit_dims(n).
   explicit StateVector(CVec amplitudes);
 
-  std::size_t num_qubits() const noexcept { return num_qubits_; }
+  const Dims& dims() const noexcept { return dims_; }
+  std::size_t num_particles() const noexcept { return dims_.size(); }
   std::size_t dim() const noexcept { return amps_.size(); }
   const CVec& amplitudes() const noexcept { return amps_; }
   cplx amplitude(std::size_t basis_index) const { return amps_.at(basis_index); }
 
-  /// Tensor product |this> ⊗ |other>.
+  /// Tensor product |this> ⊗ |other> (dims are concatenated).
   StateVector tensor(const StateVector& other) const;
-
-  /// <this|other>.
-  cplx overlap(const StateVector& other) const;
 
   /// |<this|other>|².
   double overlap_probability(const StateVector& other) const;
 
-  /// Apply a unitary on the full register (dim x dim).
-  StateVector apply(const CMat& u) const;
-
-  /// Apply a single-qubit unitary on the given qubit.
-  StateVector apply_single(const CMat& u2, std::size_t qubit) const;
+  /// Apply a d_p x d_p unitary on particle p.
+  StateVector apply_local(const CMat& u, std::size_t particle) const;
 
   /// Probability of measuring the given computational-basis outcome.
   double probability(std::size_t basis_index) const;
 
  private:
-  std::size_t num_qubits_;
+  Dims dims_;
   CVec amps_;
 };
 
-/// Density matrix of n qubits: Hermitian, unit trace, PSD (validated).
+/// Density matrix of a mixed-radix register: Hermitian, unit trace, PSD
+/// (validated).
 class DensityMatrix {
  public:
-  /// Maximally mixed state I/2^n.
-  explicit DensityMatrix(std::size_t num_qubits);
+  /// Maximally mixed state I/dim.
+  explicit DensityMatrix(Dims dims);
 
   /// |psi><psi|.
   explicit DensityMatrix(const StateVector& psi);
 
   /// From a raw matrix; validates shape/Hermiticity/trace; PSD check is
   /// tolerance-based (small negative eigenvalues allowed up to psd_tol).
-  explicit DensityMatrix(CMat rho, double psd_tol = 1e-8);
+  DensityMatrix(CMat rho, Dims dims, double psd_tol = 1e-8);
 
-  std::size_t num_qubits() const noexcept { return num_qubits_; }
+  const Dims& dims() const noexcept { return dims_; }
+  std::size_t num_particles() const noexcept { return dims_.size(); }
   std::size_t dim() const noexcept { return rho_.rows(); }
   const CMat& matrix() const noexcept { return rho_; }
 
@@ -76,24 +91,22 @@ class DensityMatrix {
   /// Probability Tr(ρ P) of projector P, clipped to [0, 1].
   double probability(const CMat& projector) const;
 
-  /// ρ ⊗ σ.
+  /// ρ ⊗ σ (dims are concatenated).
   DensityMatrix tensor(const DensityMatrix& other) const;
 
-  /// Partial trace keeping the listed qubits (ascending order preserved).
+  /// Partial trace keeping the listed particles (strictly ascending).
   DensityMatrix partial_trace_keep(const std::vector<std::size_t>& keep) const;
 
   /// Convex mixture (1−p) ρ + p σ.
   DensityMatrix mix(const DensityMatrix& other, double p) const;
 
-  /// U ρ U†.
-  DensityMatrix evolve(const CMat& u) const;
-
  private:
-  std::size_t num_qubits_;
+  /// Unchecked path for internal operations whose results are valid by
+  /// construction (tensor, partial trace, mix).
+  DensityMatrix() = default;
+
+  Dims dims_;
   CMat rho_;
 };
-
-/// Number of qubits for a dimension that must be a power of two.
-std::size_t qubits_for_dim(std::size_t dim);
 
 }  // namespace qfc::quantum

@@ -25,7 +25,7 @@ double witness_expectation(const CMat& witness, const DensityMatrix& rho) {
 }
 
 double bell_witness_value(const DensityMatrix& rho, double phase_rad) {
-  if (rho.num_qubits() != 2)
+  if (rho.dims() != qubit_dims(2))
     throw std::invalid_argument("bell_witness_value: need a two-qubit state");
   return 0.5 - fidelity(rho, bell_phi(phase_rad));
 }
@@ -36,7 +36,7 @@ StateVector ghz_state(std::size_t num_qubits, double phase_rad) {
   const double s = 1.0 / std::sqrt(2.0);
   v.front() = cplx(s, 0);
   v.back() = s * std::exp(cplx(0, phase_rad));
-  return StateVector(std::move(v));
+  return StateVector(std::move(v), qubit_dims(num_qubits));
 }
 
 double werner_detection_threshold(std::size_t num_qubits, double alpha) {

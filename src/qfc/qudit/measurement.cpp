@@ -8,6 +8,8 @@
 
 namespace qfc::qudit {
 
+using linalg::cplx;
+
 namespace {
 
 /// Bessel J_n(x) for integer n >= 0 and the small arguments used here
@@ -97,7 +99,7 @@ CMat FreqBinAnalyzer::ideal_projector(const CVec& target) {
 }
 
 std::vector<std::uint64_t> simulate_joint_counts(
-    const DDensityMatrix& rho, const std::vector<CMat>& alice_projectors,
+    const quantum::DensityMatrix& rho, const std::vector<CMat>& alice_projectors,
     const std::vector<CMat>& bob_projectors, double pairs,
     double accidentals_per_outcome, rng::Xoshiro256& g) {
   if (rho.num_particles() != 2)

@@ -12,6 +12,7 @@
 namespace qfc::qudit {
 
 using linalg::cplx;
+using linalg::CVec;
 
 bool is_prime(std::size_t d) {
   if (d < 2) return false;
@@ -129,7 +130,7 @@ CMat invert_single(const std::vector<CMat>& mubs, const std::vector<linalg::RVec
 
 }  // namespace
 
-std::vector<MubSettingCounts> simulate_mub_counts(const DDensityMatrix& rho,
+std::vector<MubSettingCounts> simulate_mub_counts(const quantum::DensityMatrix& rho,
                                                   double shots_per_setting,
                                                   rng::Xoshiro256& g) {
   if (shots_per_setting <= 0)
@@ -243,8 +244,8 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
       mub_linear_inversion(data, d, num_particles));
   tomo::RrrResult core = tomo::rrr_reconstruct(terms, seed, opts);
 
-  Dims dims(num_particles, d);
-  MubMleResult res{DDensityMatrix(std::move(core.rho), std::move(dims), 1e-6),
+  MubMleResult res{quantum::DensityMatrix(std::move(core.rho),
+                                          quantum::Dims(num_particles, d), 1e-6),
                    core.iterations, core.converged, core.log_likelihood,
                    core.final_update_norm};
   return res;

@@ -47,15 +47,6 @@ CMat weyl_operator(std::size_t d, std::size_t a, std::size_t b) {
   return w;
 }
 
-CMat fourier_matrix(std::size_t d) {
-  check_dim(d, "fourier_matrix");
-  const double norm = 1.0 / std::sqrt(static_cast<double>(d));
-  CMat f(d, d);
-  for (std::size_t j = 0; j < d; ++j)
-    for (std::size_t k = 0; k < d; ++k) f(j, k) = norm * omega_power(d, j * k);
-  return f;
-}
-
 std::vector<CMat> gell_mann_basis(std::size_t d) {
   check_dim(d, "gell_mann_basis");
   std::vector<CMat> basis;

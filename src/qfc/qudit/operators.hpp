@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file operators.hpp
-/// The d-level operator toolbox: Weyl–Heisenberg clock/shift pair, discrete
-/// Fourier transform, and the generalized Gell-Mann basis. These are the
-/// qudit analogues of quantum::pauli — the clock/shift pair generates the
-/// full d² operator basis the same way Pauli strings do for qubits.
+/// The d-level operator toolbox: Weyl–Heisenberg clock/shift pair and the
+/// generalized Gell-Mann basis. These are the qudit analogues of
+/// quantum::pauli — the clock/shift pair generates the full d² operator
+/// basis the same way Pauli strings do for qubits.
 
 #include <cstddef>
 #include <vector>
@@ -22,10 +22,6 @@ linalg::CMat clock_operator(std::size_t d);
 /// Weyl operator X^a Z^b; the d² of them (a, b ∈ 0..d−1) form an
 /// orthogonal operator basis: Tr(W†W') = d δ.
 linalg::CMat weyl_operator(std::size_t d, std::size_t a, std::size_t b);
-
-/// Discrete Fourier transform F(j,k) = ω^{jk}/√d — the ideal frequency-bin
-/// superposition measurement basis (electro-optic mixing + pulse shaper).
-linalg::CMat fourier_matrix(std::size_t d);
 
 /// The d²−1 generalized Gell-Mann matrices: Hermitian, traceless,
 /// Tr(λ_a λ_b) = 2 δ_ab. Ordering: symmetric off-diagonal pairs, then

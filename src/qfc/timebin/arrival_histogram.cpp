@@ -58,7 +58,7 @@ ArrivalHistogram simulate_arrival_histogram(const quantum::DensityMatrix& rho,
                                             double alpha_rad, double beta_rad,
                                             std::uint64_t num_pairs,
                                             rng::Xoshiro256& g) {
-  if (rho.num_qubits() != 2)
+  if (rho.dims() != quantum::qubit_dims(2))
     throw std::invalid_argument("simulate_arrival_histogram: need a two-qubit state");
   if (num_pairs == 0)
     throw std::invalid_argument("simulate_arrival_histogram: zero pairs");

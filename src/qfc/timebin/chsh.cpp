@@ -27,7 +27,7 @@ io::Json ChshMeasurement::to_json() const {
 using photonics::pi;
 
 double correlation(const quantum::DensityMatrix& rho, double alpha_rad, double beta_rad) {
-  if (rho.num_qubits() != 2)
+  if (rho.dims() != quantum::qubit_dims(2))
     throw std::invalid_argument("correlation: need a two-qubit state");
   const linalg::CMat obs =
       linalg::kron(quantum::xy_observable(alpha_rad), quantum::xy_observable(beta_rad));

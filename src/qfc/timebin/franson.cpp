@@ -27,7 +27,7 @@ io::Json FringeScan::to_json() const {
 double coincidence_probability(const quantum::DensityMatrix& rho,
                                const UnbalancedMichelson& analyzer_a,
                                const UnbalancedMichelson& analyzer_b) {
-  if (rho.num_qubits() != 2)
+  if (rho.dims() != quantum::qubit_dims(2))
     throw std::invalid_argument("coincidence_probability: need a two-qubit state");
   const linalg::CMat joint = linalg::kron(analyzer_a.analyzer_projector(),
                                           analyzer_b.analyzer_projector());

@@ -29,7 +29,7 @@ io::Json FourfoldFringe::to_json() const {
 using photonics::pi;
 
 double fourfold_probability(const quantum::DensityMatrix& rho4, double theta_rad) {
-  if (rho4.num_qubits() != 4)
+  if (rho4.dims() != quantum::qubit_dims(4))
     throw std::invalid_argument("fourfold_probability: need a four-qubit state");
   const linalg::CMat p1 = quantum::projector(quantum::xy_eigenstate(theta_rad, +1));
   const linalg::CMat p2 = linalg::kron(p1, p1);

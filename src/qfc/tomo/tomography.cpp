@@ -56,7 +56,7 @@ CVec basis_eigenstate(char basis, int sign, double phase_error_rad) {
 
 CVec setting_outcome_state(const MeasurementSetting& s, std::size_t outcome,
                            const std::vector<double>& phase_errors) {
-  const std::size_t n = s.num_qubits();
+  const std::size_t n = s.width();
   if (outcome >= (std::size_t{1} << n))
     throw std::out_of_range("outcome_state: outcome out of range");
   CVec state{cplx(1, 0)};
@@ -90,7 +90,9 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g) {
   if (shots_per_setting <= 0)
     throw std::invalid_argument("simulate_counts: shots_per_setting <= 0");
-  const std::size_t n = rho.num_qubits();
+  const std::size_t n = rho.num_particles();
+  if (rho.dims() != quantum::qubit_dims(n))
+    throw std::invalid_argument("simulate_counts: need a qubit register");
   const std::size_t num_outcomes = std::size_t{1} << n;
 
   std::vector<SettingCounts> out;
@@ -119,9 +121,9 @@ namespace {
 
 std::size_t checked_num_qubits(const std::vector<SettingCounts>& data) {
   if (data.empty()) throw std::invalid_argument("tomography: empty data");
-  const std::size_t n = data.front().setting.num_qubits();
+  const std::size_t n = data.front().setting.width();
   for (const auto& d : data) {
-    if (d.setting.num_qubits() != n)
+    if (d.setting.width() != n)
       throw std::invalid_argument("tomography: inconsistent setting widths");
     if (d.counts.size() != (std::size_t{1} << n))
       throw std::invalid_argument("tomography: wrong outcome count");
@@ -292,7 +294,7 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
                              const MleOptions& opts) {
-  checked_num_qubits(data);
+  const std::size_t n = checked_num_qubits(data);
 
   std::vector<ProjectorTerm> terms;
   for (const auto& d : data)
@@ -306,8 +308,9 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
   const CMat seed = linalg::project_to_density_matrix(linear_inversion(data));
   RrrResult core = rrr_reconstruct(terms, seed, opts);
 
-  MleResult res{quantum::DensityMatrix(std::move(core.rho), 1e-6), core.iterations,
-                core.converged, core.log_likelihood, core.final_update_norm};
+  MleResult res{quantum::DensityMatrix(std::move(core.rho), quantum::qubit_dims(n), 1e-6),
+                core.iterations, core.converged, core.log_likelihood,
+                core.final_update_norm};
   return res;
 }
 

@@ -20,7 +20,8 @@ namespace qfc::tomo {
 struct MeasurementSetting {
   std::string bases;  ///< characters from {X, Y, Z}
 
-  std::size_t num_qubits() const { return bases.size(); }
+  /// Number of qubits the setting measures.
+  std::size_t width() const { return bases.size(); }
 };
 
 /// All 3^n settings for n qubits, in lexicographic order (X < Y < Z).

@@ -212,7 +212,7 @@ TEST(FourPhotonExperimentTest, TrueStateIsProductOfPairs) {
       core::PumpConfiguration::DoublePulseFourMode);
   auto exp = comb.four_photon({});
   const auto rho4 = exp.true_state();
-  EXPECT_EQ(rho4.num_qubits(), 4u);
+  EXPECT_EQ(rho4.dims(), quantum::qubit_dims(4));
   // Reduced state of qubits {0,1} equals the pair state.
   // The two pairs sit on different channel pairs, so their μ (and thus
   // purity) differ slightly through the phase-matching envelope.

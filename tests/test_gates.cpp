@@ -32,8 +32,8 @@ TEST(Gates, CnotFlipsTarget) {
 }
 
 TEST(Gates, CnotWithHadamardMakesBellState) {
-  StateVector psi(2);
-  psi = psi.apply_single(hadamard(), 0);
+  StateVector psi(qubit_dims(2));
+  psi = psi.apply_local(hadamard(), 0);
   psi = apply_two_qubit(psi, cnot_gate(), 0, 1);
   EXPECT_NEAR(psi.overlap_probability(bell_phi()), 1.0, 1e-12);
 }
@@ -63,9 +63,25 @@ TEST(Gates, ReversedIndexOrder) {
 }
 
 TEST(Gates, BadIndicesThrow) {
-  const StateVector psi(2);
+  const StateVector psi(qubit_dims(2));
   EXPECT_THROW(apply_two_qubit(psi, cnot_gate(), 0, 0), std::invalid_argument);
   EXPECT_THROW(apply_two_qubit(psi, cnot_gate(), 0, 2), std::invalid_argument);
+}
+
+TEST(Gates, RejectQuditRegisters) {
+  // A 4-level particle and a qubit-qutrit pair are not qubit registers,
+  // even where dim() matches one (a single 4-level particle has dim 4, a
+  // 16-level one dim 16).
+  qfc::rng::Xoshiro256 g(15);
+  for (const Dims& dims : {Dims{4}, Dims{2, 3}}) {
+    const StateVector psi(dims);
+    EXPECT_THROW(apply_two_qubit(psi, cnot_gate(), 0, 1), std::invalid_argument);
+    EXPECT_THROW(measure_qubit_xy(psi, 0, 0.0, g), std::invalid_argument);
+    EXPECT_THROW(measure_qubit_z(psi, 0, g), std::invalid_argument);
+    EXPECT_THROW(cluster_from_bell_pairs(psi), std::invalid_argument);
+  }
+  EXPECT_THROW(cluster_from_bell_pairs(StateVector(Dims{4, 4})), std::invalid_argument);
+  EXPECT_THROW(cluster_from_bell_pairs(StateVector(Dims{16})), std::invalid_argument);
 }
 
 TEST(Cluster, StabilizersAreSatisfied) {
@@ -109,8 +125,8 @@ TEST(Cluster, GraphStateOfTriangle) {
 
 TEST(Measurement, ZOnPlusIsFair) {
   qfc::rng::Xoshiro256 g(11);
-  StateVector plus(1);
-  plus = plus.apply_single(hadamard(), 0);
+  StateVector plus(qubit_dims(1));
+  plus = plus.apply_local(hadamard(), 0);
   int ones = 0;
   const int n = 4000;
   for (int i = 0; i < n; ++i) {

@@ -1,5 +1,6 @@
-// Tests for the quantum-information substrate (S4): states, Paulis, Bell
-// states, entanglement measures, Fock statistics.
+// Tests for the quantum-information substrate (S4): mixed-radix states
+// (qubit registers are Dims(n, 2)), Paulis, Bell states, entanglement
+// measures, Fock statistics.
 
 #include <cmath>
 
@@ -19,10 +20,13 @@ using qfc::linalg::CVec;
 using namespace qfc::quantum;
 
 TEST(StateVector, DefaultIsGroundState) {
-  const StateVector psi(2);
+  const StateVector psi(qubit_dims(2));
   EXPECT_EQ(psi.dim(), 4u);
   EXPECT_NEAR(psi.probability(0), 1.0, 1e-15);
   EXPECT_NEAR(psi.probability(3), 0.0, 1e-15);
+  const StateVector mixed_radix(Dims{3, 4});
+  EXPECT_EQ(mixed_radix.dim(), 12u);
+  EXPECT_NEAR(mixed_radix.probability(0), 1.0, 1e-15);
 }
 
 TEST(StateVector, NormalizesInput) {
@@ -34,27 +38,75 @@ TEST(StateVector, NormalizesInput) {
 TEST(StateVector, RejectsBadDimensions) {
   EXPECT_THROW(StateVector(CVec(3, cplx(1, 0))), std::invalid_argument);
   EXPECT_THROW(StateVector(CVec(4, cplx(0, 0))), std::invalid_argument);  // zero vec
-  EXPECT_THROW(StateVector(0), std::invalid_argument);
+  EXPECT_THROW(StateVector(CVec{cplx(1, 0)}), std::invalid_argument);    // 0 qubits
+  EXPECT_THROW(StateVector(CVec{}), std::invalid_argument);
+  EXPECT_THROW(StateVector(Dims{}), std::invalid_argument);
+  EXPECT_THROW(StateVector(Dims{1, 3}), std::invalid_argument);
+  EXPECT_THROW(StateVector(CVec(5, cplx(1, 0)), Dims{2, 3}), std::invalid_argument);
+  EXPECT_THROW(StateVector(CVec(6, cplx(0, 0)), Dims{2, 3}), std::invalid_argument);
+  // The register cap is 4096 amplitudes, whatever the particle dimensions.
+  EXPECT_EQ(StateVector(Dims{64, 64}).dim(), 4096u);
+  EXPECT_EQ(StateVector(qubit_dims(12)).dim(), 4096u);
+  EXPECT_THROW(StateVector(Dims{64, 65}), std::invalid_argument);
+  EXPECT_THROW(StateVector(qubit_dims(13)), std::invalid_argument);
 }
 
 TEST(StateVector, TensorStructure) {
-  const StateVector zero(1);
+  const StateVector zero(qubit_dims(1));
   const StateVector one(CVec{cplx(0, 0), cplx(1, 0)});
   const StateVector z1 = zero.tensor(one);  // |01>
   EXPECT_NEAR(z1.probability(1), 1.0, 1e-15);
+  EXPECT_EQ(z1.dims(), qubit_dims(2));
+  EXPECT_EQ(z1.tensor(StateVector(Dims{3})).dims(), (Dims{2, 2, 3}));
 }
 
-TEST(StateVector, ApplySingleQubitOnEachPosition) {
+TEST(StateVector, ApplyLocalQubitOnEachPosition) {
   // X on qubit 0 of |00> -> |10>; X on qubit 1 -> |01>.
-  const StateVector psi(2);
-  EXPECT_NEAR(psi.apply_single(pauli_x(), 0).probability(2), 1.0, 1e-12);
-  EXPECT_NEAR(psi.apply_single(pauli_x(), 1).probability(1), 1.0, 1e-12);
-  EXPECT_THROW(psi.apply_single(pauli_x(), 2), std::out_of_range);
+  const StateVector psi(qubit_dims(2));
+  EXPECT_NEAR(psi.apply_local(pauli_x(), 0).probability(2), 1.0, 1e-12);
+  EXPECT_NEAR(psi.apply_local(pauli_x(), 1).probability(1), 1.0, 1e-12);
+  EXPECT_THROW(psi.apply_local(pauli_x(), 2), std::out_of_range);
+}
+
+TEST(StateVector, ApplyLocalMatchesFullKron) {
+  // A local unitary on each particle of a random-ish state, applied both
+  // locally and as a full-register kron, must agree: qubits and a 3 x 4
+  // mixed-radix register.
+  const CMat h = hadamard();
+  const CMat ry = rotation_y(0.7);
+  CMat shift3(3, 3);  // |j> -> |j+1 mod 3>
+  for (std::size_t j = 0; j < 3; ++j) shift3((j + 1) % 3, j) = cplx(1, 0);
+  const CMat u4 = qfc::linalg::kron(h, ry);
+  struct Case {
+    Dims dims;
+    CMat u0, u1;
+  };
+  for (const Case& c : {Case{qubit_dims(2), h, ry}, Case{Dims{3, 4}, shift3, u4}}) {
+    CVec amps(total_dim(c.dims));
+    for (std::size_t i = 0; i < amps.size(); ++i)
+      amps[i] = cplx(std::sin(1.0 + 0.7 * static_cast<double>(i)),
+                     std::cos(0.3 * static_cast<double>(i)));
+    const StateVector psi(amps, c.dims);
+    const StateVector via_local = psi.apply_local(c.u0, 0).apply_local(c.u1, 1);
+    const StateVector via_full(qfc::linalg::kron(c.u0, c.u1) * amps, c.dims);
+    EXPECT_EQ(via_local.dims(), c.dims);
+    for (std::size_t i = 0; i < psi.dim(); ++i)
+      EXPECT_NEAR(std::abs(via_local.amplitude(i) - via_full.amplitude(i)), 0.0, 1e-12);
+  }
+}
+
+TEST(StateVector, ApplyLocalValidation) {
+  const StateVector psi(Dims{3, 4});
+  CMat shift3(3, 3);
+  for (std::size_t j = 0; j < 3; ++j) shift3((j + 1) % 3, j) = cplx(1, 0);
+  EXPECT_THROW(psi.apply_local(shift3, 1), std::invalid_argument);  // particle 1 is 4-level
+  EXPECT_THROW(psi.apply_local(shift3, 2), std::out_of_range);
+  EXPECT_THROW(psi.apply_local(pauli_x(), 0), std::invalid_argument);
 }
 
 TEST(StateVector, HadamardMakesUniform) {
-  StateVector psi(1);
-  psi = psi.apply_single(hadamard(), 0);
+  StateVector psi(qubit_dims(1));
+  psi = psi.apply_local(hadamard(), 0);
   EXPECT_NEAR(psi.probability(0), 0.5, 1e-12);
   EXPECT_NEAR(psi.probability(1), 0.5, 1e-12);
 }
@@ -110,26 +162,37 @@ TEST(DensityMatrix, PureStateProperties) {
 }
 
 TEST(DensityMatrix, MaximallyMixed) {
-  const DensityMatrix rho(2);
+  const DensityMatrix rho(qubit_dims(2));
   EXPECT_NEAR(purity(rho), 0.25, 1e-12);
   EXPECT_NEAR(von_neumann_entropy_bits(rho), 2.0, 1e-9);
 }
 
 TEST(DensityMatrix, ValidatesInput) {
   CMat bad = CMat::identity(4);  // trace 4
-  EXPECT_THROW(DensityMatrix{bad}, std::invalid_argument);
+  EXPECT_THROW(DensityMatrix(bad, qubit_dims(2)), std::invalid_argument);
   CMat nonherm(2, 2);
   nonherm(0, 0) = cplx(1, 0);
   nonherm(0, 1) = cplx(0.5, 0);
-  EXPECT_THROW(DensityMatrix{nonherm}, std::invalid_argument);
+  EXPECT_THROW(DensityMatrix(nonherm, qubit_dims(1)), std::invalid_argument);
+  const CMat mixed6 = CMat::identity(6) * cplx(1.0 / 6.0, 0);
+  EXPECT_EQ(DensityMatrix(mixed6, Dims{2, 3}).dims(), (Dims{2, 3}));
+  EXPECT_THROW(DensityMatrix(mixed6, qubit_dims(2)), std::invalid_argument);  // size
+  EXPECT_THROW(DensityMatrix(Dims{}), std::invalid_argument);
+  EXPECT_THROW(DensityMatrix(Dims{64, 65}), std::invalid_argument);
 }
 
 TEST(DensityMatrix, PartialTraceOfBellIsMixed) {
   const DensityMatrix rho{bell_phi()};
   const DensityMatrix reduced = rho.partial_trace_keep({0});
-  EXPECT_EQ(reduced.dim(), 2u);
+  EXPECT_EQ(reduced.dims(), qubit_dims(1));
   EXPECT_NEAR(purity(reduced), 0.5, 1e-12);  // maximally mixed qubit
   EXPECT_NEAR(std::real(reduced.matrix()(0, 0)), 0.5, 1e-12);
+  // The maximally entangled qudit pair reduces to I/d.
+  for (std::size_t d : {2u, 3u, 5u}) {
+    const DensityMatrix reduced_d = DensityMatrix(maximally_entangled(d)).partial_trace_keep({0});
+    EXPECT_EQ(reduced_d.dims(), Dims{d});
+    EXPECT_NEAR(purity(reduced_d), 1.0 / static_cast<double>(d), 1e-12);
+  }
 }
 
 TEST(DensityMatrix, PartialTraceOfProductRecoversFactors) {
@@ -140,11 +203,34 @@ TEST(DensityMatrix, PartialTraceOfProductRecoversFactors) {
   EXPECT_LT((ra.matrix() - a.matrix()).max_abs(), 1e-12);
   const DensityMatrix rb = ab.partial_trace_keep({1});
   EXPECT_LT((rb.matrix() - b.matrix()).max_abs(), 1e-12);
+
+  // Mixed radix: a qubit ⊗ qutrit ⊗ qubit product, every particle kept
+  // alone (the middle one strides over the last qubit).
+  const DensityMatrix q0{StateVector(CVec{cplx(0.6, 0), cplx(0, 0.8)})};
+  const DensityMatrix t{StateVector(CVec{cplx(1, 0), cplx(1, 0), cplx(0, 1)}, Dims{3})};
+  const DensityMatrix q2{StateVector(CVec{cplx(0, 0), cplx(1, 0)})};
+  const DensityMatrix prod = q0.tensor(t).tensor(q2);
+  EXPECT_EQ(prod.dims(), (Dims{2, 3, 2}));
+  const DensityMatrix factors[] = {q0, t, q2};
+  for (std::size_t p = 0; p < 3; ++p) {
+    const DensityMatrix kept = prod.partial_trace_keep({p});
+    EXPECT_EQ(kept.dims(), factors[p].dims());
+    EXPECT_LT((kept.matrix() - factors[p].matrix()).max_abs(), 1e-12) << "particle " << p;
+  }
+  const DensityMatrix outer = prod.partial_trace_keep({0, 2});
+  EXPECT_LT((outer.matrix() - q0.tensor(q2).matrix()).max_abs(), 1e-12);
+}
+
+TEST(DensityMatrix, PartialTraceValidation) {
+  const DensityMatrix rho(Dims{2, 3});
+  EXPECT_THROW(rho.partial_trace_keep({}), std::invalid_argument);
+  EXPECT_THROW(rho.partial_trace_keep({2}), std::out_of_range);
+  EXPECT_THROW(rho.partial_trace_keep({1, 0}), std::invalid_argument);
 }
 
 TEST(DensityMatrix, MixInterpolatesLinearly) {
   const DensityMatrix pure{bell_phi()};
-  const DensityMatrix mixed(2);
+  const DensityMatrix mixed(qubit_dims(2));
   const DensityMatrix half = pure.mix(mixed, 0.5);
   EXPECT_NEAR(std::real(half.matrix()(0, 0)), 0.5 * 0.5 + 0.5 * 0.25, 1e-12);
   EXPECT_THROW(pure.mix(mixed, 1.5), std::invalid_argument);
@@ -152,7 +238,7 @@ TEST(DensityMatrix, MixInterpolatesLinearly) {
 
 TEST(Measures, FidelityBasicProperties) {
   const DensityMatrix bell{bell_phi()};
-  const DensityMatrix mixed(2);
+  const DensityMatrix mixed(qubit_dims(2));
   EXPECT_NEAR(fidelity(bell, bell), 1.0, 1e-9);
   EXPECT_NEAR(fidelity(bell, mixed), 0.25, 1e-9);
   EXPECT_NEAR(fidelity(bell, bell_phi()), 1.0, 1e-9);
@@ -174,7 +260,7 @@ TEST(Measures, WernerFidelityClosedForm) {
 
 TEST(Measures, TraceDistanceBounds) {
   const DensityMatrix bell{bell_phi()};
-  const DensityMatrix mixed(2);
+  const DensityMatrix mixed(qubit_dims(2));
   const double d = trace_distance(bell, mixed);
   EXPECT_GT(d, 0.0);
   EXPECT_LE(d, 1.0);
@@ -191,7 +277,7 @@ TEST(Measures, ConcurrenceOfWernerStates) {
 
 TEST(Measures, NegativityDetectsEntanglement) {
   EXPECT_NEAR(negativity(DensityMatrix{bell_phi()}, 1), 0.5, 1e-9);
-  EXPECT_NEAR(negativity(DensityMatrix(2), 1), 0.0, 1e-10);
+  EXPECT_NEAR(negativity(DensityMatrix(qubit_dims(2)), 1), 0.0, 1e-10);
   // Werner separability threshold V = 1/3.
   EXPECT_NEAR(negativity(werner_phi(1.0 / 3.0), 1), 0.0, 1e-8);
   EXPECT_GT(negativity(werner_phi(0.5), 1), 0.01);
@@ -205,10 +291,40 @@ TEST(Measures, SchmidtCoefficientsOfBell) {
 }
 
 TEST(Measures, SchmidtOfProductStateIsRankOne) {
-  const StateVector prod = StateVector(1).tensor(StateVector(1));
+  const StateVector prod = StateVector(qubit_dims(1)).tensor(StateVector(qubit_dims(1)));
   const auto coeffs = schmidt_coefficients(prod, 1);
   EXPECT_NEAR(coeffs[0], 1.0, 1e-12);
   EXPECT_NEAR(coeffs[1], 0.0, 1e-12);
+}
+
+TEST(Measures, RegisterSplitsAfterKParticles) {
+  // Qubits: two Bell pairs split after 2 qubits are a product (pair | pair);
+  // split after 1 or 3 qubits cut one pair.
+  const StateVector four = bell_product(2);
+  EXPECT_NEAR(schmidt_number(four, 2), 1.0, 1e-10);
+  EXPECT_NEAR(schmidt_number(four, 1), 2.0, 1e-10);
+  EXPECT_NEAR(schmidt_number(four, 3), 2.0, 1e-10);
+  EXPECT_NEAR(negativity(DensityMatrix(four), 2), 0.0, 1e-10);
+  EXPECT_NEAR(negativity(DensityMatrix(four), 1), 0.5, 1e-9);
+  // Mixed radix: |Φ_3> ⊗ |0>_qubit split after 1 particle is 3 x 6.
+  const StateVector psi = maximally_entangled(3).tensor(StateVector(qubit_dims(1)));
+  EXPECT_EQ(schmidt_coefficients(psi, 1).size(), 3u);
+  EXPECT_NEAR(schmidt_number(psi, 1), 3.0, 1e-10);
+  EXPECT_NEAR(schmidt_number(psi, 2), 1.0, 1e-10);
+  EXPECT_NEAR(negativity(DensityMatrix(psi), 1), 1.0, 1e-9);
+  EXPECT_THROW(negativity(DensityMatrix(psi), 0), std::invalid_argument);
+  EXPECT_THROW(negativity(DensityMatrix(psi), 3), std::invalid_argument);
+  EXPECT_THROW(schmidt_coefficients(psi, 3), std::invalid_argument);
+}
+
+TEST(Measures, QubitOnlyChecksRejectQuditRegisters) {
+  // A 4-level particle and a qubit-qutrit pair: dim() 4 and 6, neither a
+  // two-qubit register.
+  for (const Dims& dims : {Dims{4}, Dims{2, 3}}) {
+    const DensityMatrix rho(dims);
+    EXPECT_THROW(concurrence(rho), std::invalid_argument);
+  }
+  EXPECT_NEAR(concurrence(DensityMatrix(qubit_dims(2))), 0.0, 1e-12);
 }
 
 TEST(Measures, MatrixLevelOverloadsHandleNonPowerOfTwoDims) {
@@ -244,7 +360,7 @@ TEST(Measures, MatrixLevelValidation) {
 
 TEST(Bell, ProductStateHasPerPairStructure) {
   const StateVector four = bell_product(2);
-  EXPECT_EQ(four.num_qubits(), 4u);
+  EXPECT_EQ(four.dims(), qubit_dims(4));
   // Amplitudes only on |0000>, |0011>, |1100>, |1111>.
   EXPECT_NEAR(four.probability(0b0000), 0.25, 1e-12);
   EXPECT_NEAR(four.probability(0b0011), 0.25, 1e-12);
@@ -257,6 +373,26 @@ TEST(Bell, IsotropicNoiseFidelity) {
   const StateVector target = bell_product(2);
   const DensityMatrix noisy = isotropic_noise(target, 0.6);
   EXPECT_NEAR(fidelity(noisy, target), 0.6 + 0.4 / 16.0, 1e-9);
+  const DensityMatrix noisy_qutrits = isotropic_noise(maximally_entangled(3), 0.6);
+  EXPECT_EQ(noisy_qutrits.dims(), (Dims{3, 3}));
+  EXPECT_NEAR(fidelity(noisy_qutrits, maximally_entangled(3)), 0.6 + 0.4 / 9.0, 1e-9);
+  EXPECT_THROW(isotropic_noise(target, 1.5), std::invalid_argument);
+}
+
+TEST(Bell, MaximallyEntangledStructure) {
+  const StateVector phi = maximally_entangled(3);
+  EXPECT_EQ(phi.dims(), (Dims{3, 3}));
+  for (std::size_t k = 0; k < 3; ++k)
+    EXPECT_NEAR(phi.probability(k * 3 + k), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(phi.probability(1), 0.0, 1e-15);
+  // At d = 2 it is the time-bin Bell state Φ(0), as a two-qubit register.
+  EXPECT_EQ(maximally_entangled(2).dims(), qubit_dims(2));
+  EXPECT_NEAR(maximally_entangled(2).overlap_probability(bell_phi()), 1.0, 1e-12);
+  EXPECT_THROW(maximally_entangled(1), std::invalid_argument);
+  // Pair amplitudes are normalized and placed on the |kk> diagonal.
+  const StateVector pair = from_pair_amplitudes(CVec{cplx(3, 0), cplx(0, 4)});
+  EXPECT_NEAR(pair.probability(0b00), 9.0 / 25.0, 1e-12);
+  EXPECT_NEAR(pair.probability(0b11), 16.0 / 25.0, 1e-12);
 }
 
 TEST(Fock, OperatorsSatisfyCommutator) {

@@ -411,6 +411,23 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
   EXPECT_EQ(entries[1].find("result"), nullptr);
 }
 
+TEST(SweepRun, QuditDimensionAtTheRegisterCap) {
+  // dimension 64 is a 64 x 64 pair, d² = 4096 amplitudes: exactly the
+  // quantum register cap (its density matrix peaks at ~260 MB). 65 is past
+  // the adapter's range and fails only its own instance.
+  const auto plan = sweep::expand_sweep_config(parse_config(
+      R"({"sweeps":[{"scenario":"qudit_source","axes":[{"param":"dimension","values":[64,65]}]}]})"));
+  const auto report = sweep::run_sweep(plan, 1);
+  EXPECT_EQ(report.num_failed, 1u);
+  const auto& entries = report.json.find("results")->array_items();
+  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_TRUE(entries[0].find("ok")->bool_value());
+  EXPECT_DOUBLE_EQ(entries[0].find("result")->find("schmidt_number")->number_value(),
+                   13.35341327634091);
+  EXPECT_FALSE(entries[1].find("ok")->bool_value());
+  EXPECT_NE(entries[1].find("error")->string_value().find("dimension"), std::string::npos);
+}
+
 // --------------------------------------------- adapter-vs-façade parity
 
 using core::PumpConfiguration;

@@ -243,6 +243,21 @@ TEST(FourPhoton, RejectsWrongDimensions) {
   EXPECT_THROW(timebin::fourfold_probability(pair, 0.0), std::invalid_argument);
 }
 
+TEST(TimebinAnalysis, RejectsQuditRegisters) {
+  // Two-qubit analyses: a 4-level particle has dim 4 but is not two qubits;
+  // likewise a 16-level particle or a ququart pair is not four qubits.
+  const UnbalancedMichelson mi(1e-9, 0.0);
+  for (const quantum::Dims& dims : {quantum::Dims{4}, quantum::Dims{2, 3}}) {
+    const DensityMatrix rho(dims);
+    EXPECT_THROW(timebin::correlation(rho, 0.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(timebin::coincidence_probability(rho, mi, mi), std::invalid_argument);
+    EXPECT_THROW(timebin::fourfold_probability(rho, 0.0), std::invalid_argument);
+  }
+  for (const quantum::Dims& dims : {quantum::Dims{16}, quantum::Dims{4, 4}})
+    EXPECT_THROW(timebin::fourfold_probability(DensityMatrix(dims), 0.0),
+                 std::invalid_argument);
+}
+
 TEST(TimebinPeaks, FoldsSyntheticHistogram) {
   // 33 bins at 1 ns width cover ±16 ns; ΔT = 10 ns. Place counts exactly
   // on the three peak centers plus one stray bin outside every window.

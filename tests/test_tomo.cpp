@@ -142,6 +142,15 @@ TEST(SimulateCounts, ZZOnBellIsCorrelated) {
   }
 }
 
+TEST(SimulateCounts, RejectsQuditRegisters) {
+  // Pauli settings need qubits: a 4-level particle has the dim of two
+  // qubits but is not a qubit register.
+  rng::Xoshiro256 g(3);
+  for (const quantum::Dims& dims : {quantum::Dims{4}, quantum::Dims{2, 3}})
+    EXPECT_THROW(tomo::simulate_counts(DensityMatrix(dims), 100.0, {}, g),
+                 std::invalid_argument);
+}
+
 TEST(LinearInversion, RecoversBellInNoiselessLimit) {
   rng::Xoshiro256 g(3);
   const DensityMatrix rho{bell_phi()};
@@ -305,7 +314,7 @@ TEST(Tomography, RrrCoreMatchesDenseLoopTwoAndThreeQubits) {
 TEST(Tomography, RrrCoreMatchesDenseLoopOnQutritMubData) {
   const std::size_t d = 3;
   rng::Xoshiro256 g(22);
-  const auto rho = qudit::isotropic_noise(qudit::DState::maximally_entangled(d), 0.85);
+  const auto rho = quantum::isotropic_noise(quantum::maximally_entangled(d), 0.85);
   const auto data = qudit::simulate_mub_counts(rho, 300.0, g);
   const auto mubs = qudit::mub_bases(d);
   const auto column = [&](std::size_t b, std::size_t k) {

@@ -25,7 +25,13 @@ using quantum::werner_phi;
 TEST(Witness, NegativeOnBellZeroBoundaryOnSeparable) {
   EXPECT_NEAR(quantum::bell_witness_value(DensityMatrix{bell_phi()}), -0.5, 1e-9);
   // Maximally mixed: 1/2 - 1/4 = +1/4.
-  EXPECT_NEAR(quantum::bell_witness_value(DensityMatrix(2)), 0.25, 1e-9);
+  EXPECT_NEAR(quantum::bell_witness_value(DensityMatrix(quantum::qubit_dims(2))), 0.25,
+              1e-9);
+}
+
+TEST(Witness, BellWitnessRejectsQuditRegisters) {
+  for (const quantum::Dims& dims : {quantum::Dims{4}, quantum::Dims{2, 3}})
+    EXPECT_THROW(quantum::bell_witness_value(DensityMatrix(dims)), std::invalid_argument);
 }
 
 class WitnessWernerSweep : public ::testing::TestWithParam<double> {};
@@ -130,8 +136,11 @@ TEST(ArrivalHistogram, WhiteNoisePopulatesOuterPeaks) {
 TEST(ArrivalHistogram, RejectsBadInput) {
   rng::Xoshiro256 g(75);
   EXPECT_THROW(
-      timebin::simulate_arrival_histogram(DensityMatrix(1), 0, 0, 10, g),
+      timebin::simulate_arrival_histogram(DensityMatrix(quantum::qubit_dims(1)), 0, 0, 10, g),
       std::invalid_argument);
+  for (const quantum::Dims& dims : {quantum::Dims{4}, quantum::Dims{2, 3}})
+    EXPECT_THROW(timebin::simulate_arrival_histogram(DensityMatrix(dims), 0, 0, 10, g),
+                 std::invalid_argument);
   EXPECT_THROW(
       timebin::simulate_arrival_histogram(DensityMatrix{bell_phi()}, 0, 0, 0, g),
       std::invalid_argument);
