@@ -35,6 +35,7 @@
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
+#include "qfc/parallel/worker_pool.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
 namespace {
@@ -163,7 +164,7 @@ std::vector<detect::CarResult> legacy_car_matrix(
   return cells;
 }
 
-/// Generation + car_matrix at the process-wide detect thread setting.
+/// Generation + car_matrix at the process-wide thread setting.
 detect::CarMatrix engine_car_matrix(const std::vector<detect::ChannelPairSpec>& specs,
                                     double duration_s,
                                     std::size_t* total_events = nullptr) {
@@ -175,15 +176,15 @@ detect::CarMatrix engine_car_matrix(const std::vector<detect::ChannelPairSpec>& 
   return detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
 }
 
-/// One EventEngine::run at `threads` detect threads; restores the process
+/// One EventEngine::run at `threads` pool threads; restores the process
 /// request afterwards.
 detect::EngineResult run_at_threads(const detect::EngineConfig& ec,
                                     const std::vector<detect::ChannelPairSpec>& specs,
                                     unsigned threads) {
-  const unsigned saved_request = detect::analysis_thread_request();
-  detect::set_analysis_threads(threads);
+  const unsigned saved_request = parallel::thread_request();
+  parallel::set_threads(threads);
   detect::EngineResult result = detect::EventEngine(ec).run(specs);
-  detect::set_analysis_threads(saved_request);
+  parallel::set_threads(saved_request);
   return result;
 }
 
@@ -256,16 +257,16 @@ std::vector<AnalysisRow> bench_analysis_threads(const detect::EngineResult& even
   std::vector<AnalysisRow> rows;
   detect::CarMatrix cells_1t;
   std::vector<detect::CoincidenceHistogram> hists_1t;
-  const unsigned saved_request = detect::analysis_thread_request();
+  const unsigned saved_request = parallel::thread_request();
   for (const int threads : {1, 2, 4}) {
     AnalysisRow row;
     row.threads = threads;
 
-    // Size the process-wide detect pool and build it with an untimed
+    // Size the process-wide shared pool and build it with an untimed
     // warm-up sweep, so the timed region measures the sharded sweep only —
     // never worker spawn/teardown, which would bias speedup_vs_1t toward
     // whichever leg matches the cached pool size.
-    detect::set_analysis_threads(static_cast<unsigned>(threads));
+    parallel::set_threads(static_cast<unsigned>(threads));
     detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
 
     auto t0 = Clock::now();
@@ -295,7 +296,7 @@ std::vector<AnalysisRow> bench_analysis_threads(const detect::EngineResult& even
     }
     rows.push_back(row);
   }
-  detect::set_analysis_threads(saved_request);
+  parallel::set_threads(saved_request);
   return rows;
 }
 

@@ -26,6 +26,7 @@
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/matrix.hpp"
 #include "qfc/obs/obs.hpp"
+#include "qfc/parallel/worker_pool.hpp"
 
 namespace {
 
@@ -166,16 +167,16 @@ bool check_thread_invariance(std::size_t n) {
   const CMat h = random_hermitian(n, 77);
   const CMat r = random_matrix(n + 8, n, 78);
   const CMat ka = random_matrix(16, 16, 90), kb = random_matrix(16, 16, 91);
-  const unsigned saved_request = linalg::backend_thread_request();
+  const unsigned saved_request = parallel::thread_request();
 
-  linalg::set_backend_threads(1);
+  parallel::set_threads(1);
   const auto eig1 = linalg::hermitian_eig(h);
   const auto svd1 = linalg::svd(r, 96);
   const CMat kron1 = linalg::kron(ka, kb);
 
   bool ok = true;
   for (const unsigned threads : {2u, 4u}) {
-    linalg::set_backend_threads(threads);
+    parallel::set_threads(threads);
     const auto eig = linalg::hermitian_eig(h);
     const auto svd = linalg::svd(r, 96);
     const CMat kr = linalg::kron(ka, kb);
@@ -183,7 +184,7 @@ bool check_thread_invariance(std::size_t n) {
          svd1.sigma == svd.sigma && svd1.u == svd.u && svd1.v == svd.v &&
          kron1 == kr;
   }
-  linalg::set_backend_threads(saved_request);
+  parallel::set_threads(saved_request);
   return ok;
 }
 
@@ -207,7 +208,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{8, 32, 64, 128}
             : std::vector<std::size_t>{8, 16, 32, 64, 128, 256};
 
-  std::printf("worker threads (auto): %u,  SIMD: %s\n", linalg::backend_threads(),
+  std::printf("worker threads (auto): %u,  SIMD: %s\n", parallel::threads(),
               linalg::simd_enabled() ? "on" : "off");
   std::printf("%-14s %6s %14s %12s %9s %7s\n", "kernel", "n", "reference[ms]",
               "blocked[ms]", "speedup", "match");

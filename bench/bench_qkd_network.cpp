@@ -26,6 +26,7 @@
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/qkd_network.hpp"
 #include "qfc/obs/obs.hpp"
+#include "qfc/parallel/worker_pool.hpp"
 
 namespace {
 
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
       bounded_rss ? "flat (bounded)" : "GREW > 10%");
 
   // User-count scaling: one shared run per row, timed at the default
-  // detect thread setting, then re-run at 1 and 4 detect threads for the
+  // thread setting, then re-run at 1 and 4 pool threads for the
   // bitwise determinism flag the CI gate watches.
   std::printf("\nduration per run: %.3f s, stream window %.4g s\n", duration_s,
               window_s);
@@ -148,12 +149,12 @@ int main(int argc, char** argv) {
     const auto report = net.run(duration_s);
     const double run_ms = ms_since(t0);
 
-    const unsigned saved_request = detect::analysis_thread_request();
-    detect::set_analysis_threads(1);
+    const unsigned saved_request = parallel::thread_request();
+    parallel::set_threads(1);
     const auto r1 = core::QkdNetwork(exp, cfg).run(duration_s);
-    detect::set_analysis_threads(4);
+    parallel::set_threads(4);
     const auto r4 = core::QkdNetwork(exp, cfg).run(duration_s);
-    detect::set_analysis_threads(saved_request);
+    parallel::set_threads(saved_request);
 
     NetworkRow row;
     row.users = users;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/constants.hpp"
 
 namespace qfc::core {
@@ -20,15 +19,6 @@ io::Json QkdChannelPerformance::to_json() const {
   j.set("secret_fraction", secret_fraction);
   j.set("key_rate_bps", key_rate_bps);
   j.set("key_positive", key_positive);
-  return j;
-}
-
-io::Json MultiplexedQkdLink::StreamCheck::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("k", k);
-  j.set("measured_coincidence_rate_hz", measured_coincidence_rate_hz);
-  j.set("measured_accidental_rate_hz", measured_accidental_rate_hz);
-  j.set("car", car.to_json());
   return j;
 }
 
@@ -180,52 +170,6 @@ double MultiplexedQkdLink::aggregate_key_rate_bps(double distance_km) const {
   double total = 0;
   for (const auto& ch : all_channels(distance_km)) total += ch.key_rate_bps;
   return total;
-}
-
-std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
-    double distance_km, double duration_s, const StreamOptions& options) const {
-  if (duration_s <= 0)
-    throw std::invalid_argument("stream_check: duration <= 0");
-  const LinkGeometry geometry{distance_km, fiber_};
-  geometry.validate();
-
-  const auto& cfg = experiment_->config();
-  std::vector<detect::ChannelPairSpec> specs;
-  specs.reserve(static_cast<std::size_t>(cfg.num_channel_pairs));
-  for (int k = 1; k <= cfg.num_channel_pairs; ++k)
-    specs.push_back(link_channel_spec(*experiment_, k, endpoint_, geometry));
-
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = options.seed;
-  detect::StreamConfig sc;
-  // window <= 0: one window spanning the run — the old batch path. The
-  // streaming engine is bitwise identical at every window size, so this
-  // only changes peak memory.
-  sc.window_s = options.window_s > 0 ? options.window_s : duration_s;
-
-  const double window = endpoint_.coincidence_window_s;
-  detect::EventStreamer streamer(ec, sc, specs);
-  detect::StreamingCarAccumulator car(
-      window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10);
-  detect::StreamWindow w;
-  while (streamer.next(w)) car.push(w);
-  const std::vector<detect::CarResult> cars = car.finish();
-
-  std::vector<StreamCheck> out;
-  out.reserve(specs.size());
-  for (int k = 1; k <= cfg.num_channel_pairs; ++k) {
-    const auto c = static_cast<std::size_t>(k - 1);
-    StreamCheck r;
-    r.k = k;
-    r.car = cars[c];
-    r.measured_coincidence_rate_hz =
-        std::max(0.0, r.car.coincidences - r.car.accidentals) / duration_s;
-    r.measured_accidental_rate_hz = r.car.accidentals / duration_s;
-    out.push_back(r);
-  }
-  return out;
 }
 
 double MultiplexedQkdLink::max_distance_km(int k, double upper_bound_km,

@@ -16,7 +16,6 @@
 /// one experiment and sweeps geometries; QkdNetwork binds hundreds of
 /// (endpoint, geometry) pairs to one shared streaming engine run.
 
-#include <cstdint>
 #include <vector>
 
 #include "qfc/io/json.hpp"
@@ -109,24 +108,12 @@ QkdChannelPerformance analytic_channel_performance(
 
 /// Monte-Carlo channel spec for the same link: cw_equivalent_spec with the
 /// arm transmission folded into both arms and the endpoint's dark rate and
-/// detector overrides applied. Shared by the link's stream_check and
-/// QkdNetwork's shared-engine spec planning.
+/// detector overrides applied. QkdNetwork's shared-engine spec planning
+/// builds every user's channel from it.
 detect::ChannelPairSpec link_channel_spec(const TimebinExperiment& experiment,
                                           int k,
                                           const UserEndpointParams& endpoint,
                                           const LinkGeometry& geometry);
-
-/// Knobs of a Monte-Carlo stream check that are about the *run*, not the
-/// link: generation window (memory bound) and seed. The window is
-/// result-neutral — the streaming engine is bitwise identical to a batch run
-/// at every window size and thread count.
-struct StreamOptions {
-  /// Streaming generation window; resident memory scales with this, not
-  /// with duration. <= 0 means one window spanning the whole run (the old
-  /// batch behavior — same bits either way).
-  double window_s = 1.0;
-  std::uint64_t seed = 1176;
-};
 
 /// QKD link built on a time-bin entanglement experiment: channel pair k
 /// distributes photons to Alice (+k) and Bob (−k) through symmetric fiber
@@ -152,28 +139,6 @@ class MultiplexedQkdLink {
   /// the bound to resolve further.
   double max_distance_km(int k, double upper_bound_km = 500.0,
                          double tolerance_km = 0.1) const;
-
-  /// One channel of the Monte-Carlo link check (see stream_check).
-  struct StreamCheck {
-    int k = 0;
-    double measured_coincidence_rate_hz = 0;  ///< accidental-subtracted
-    double measured_accidental_rate_hz = 0;   ///< per peak-equivalent window
-    detect::CarResult car;
-
-    io::Json to_json() const;
-  };
-
-  /// Monte-Carlo cross-check of the analytic link budget: every channel
-  /// pair runs through the windowed streaming engine
-  /// (detect::EventStreamer) with the fiber arm transmission folded into
-  /// each arm and the endpoint's dark rate on each detector, and an online
-  /// accumulator measures all CARs in one pass. Resident memory is set by
-  /// StreamOptions::window_s — not duration — while every reported number
-  /// is bitwise identical at any window size or analysis thread count
-  /// (streaming parity contract). Validates the accidental floor the
-  /// analytic channel_performance assumes.
-  std::vector<StreamCheck> stream_check(double distance_km, double duration_s,
-                                        const StreamOptions& options = {}) const;
 
  private:
   const TimebinExperiment* experiment_;

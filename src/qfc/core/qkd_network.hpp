@@ -18,8 +18,8 @@
 ///  - **Bitwise thread-count determinism**: generation forks one RNG per
 ///    user-channel in user order; analysis shards merge in fixed chunk
 ///    order; per-user reports are assembled serially in user order. Every
-///    number in QkdNetworkReport is bitwise identical at every detect
-///    thread count (detect::set_analysis_threads) and stream window size.
+///    number in QkdNetworkReport is bitwise identical at every thread
+///    count (parallel::set_threads) and stream window size.
 ///  - **Cross-talk compositionality**: adjacent-bin leakage is injected at
 ///    the spec level (detect::apply_adjacent_crosstalk) into the
 ///    background-rate path; zero leakage is an exact no-op, so a

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,13 +34,6 @@ namespace qfc::detect::analysis_detail {
 /// or streamed (one per pushed window). Boundaries derived from it depend
 /// only on the data, never on the worker count.
 constexpr std::size_t kAnalysisChunkEvents = 16384;
-
-/// The detect pool (event_engine.cpp): a process-wide parallel::CachedPool,
-/// built lazily at the current set_analysis_threads request. Callers hold
-/// the shared_ptr for the whole call (the generator and the streaming
-/// accumulators for their whole lifetime), so a concurrent
-/// set_analysis_threads() swap cannot destroy a pool mid-run.
-std::shared_ptr<parallel::WorkerPool> analysis_pool();
 
 /// Time-ordered view over all channels of a table: one (time, channel)
 /// sequence merged across the per-channel columns.

@@ -105,7 +105,7 @@ inline void validate_engine_config(const EngineConfig& cfg) {
 /// all at construction; every stage owns a detail::Sampler on its own
 /// stream. A window only pauses those samplers, so any sequence of windows
 /// consumes the same per-stream draws as one window over the whole run, and
-/// worker threads of the detect pool (held from construction) claim whole
+/// worker threads of the shared pool (held from construction) claim whole
 /// channels, so no result depends on the thread count either.
 ///
 /// Window boundaries: a window finalizes the clicks below its end C. The
@@ -140,7 +140,7 @@ class ClickGenerator {
 
   double duration_s_ = 0;
   std::vector<Channel> chans_;
-  std::shared_ptr<parallel::WorkerPool> pool_;  ///< the detect pool
+  std::shared_ptr<parallel::WorkerPool> pool_;  ///< parallel::shared_pool()
   bool started_ = false;
 };
 

@@ -229,7 +229,7 @@ ClickGenerator::ClickGenerator(const EngineConfig& cfg,
     ch.b.g_dark = r.dark_b;
     ch.b.g_pwdark = r.pwdark_b;
   }
-  pool_ = analysis_detail::analysis_pool();
+  pool_ = parallel::shared_pool();
 }
 
 ClickGenerator::~ClickGenerator() = default;
@@ -405,25 +405,6 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
   return m;
 }
 
-}  // namespace analysis_detail
-
-namespace {
-
-// ----------------------------------------------------- detect worker pool
-
-parallel::CachedPool& cached_analysis_pool() {
-  static parallel::CachedPool pool("QFC_ENGINE_ANALYSIS_THREADS");
-  return pool;
-}
-
-}  // namespace
-
-namespace analysis_detail {
-
-std::shared_ptr<parallel::WorkerPool> analysis_pool() {
-  return cached_analysis_pool().get();
-}
-
 std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, double reach,
                                         double frontier, parallel::WorkerPool* pool,
                                         std::size_t row_size, std::uint64_t* counts,
@@ -476,11 +457,7 @@ std::vector<std::size_t> sweep_resolved(const std::vector<Column>& signal, doubl
 
 }  // namespace analysis_detail
 
-void set_analysis_threads(unsigned n) { cached_analysis_pool().set_threads(n); }
-
-unsigned analysis_threads() { return cached_analysis_pool().threads(); }
-
-unsigned analysis_thread_request() { return cached_analysis_pool().request(); }
+unsigned analysis_threads() { return parallel::threads(); }
 
 const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
   if (s >= num_signal || i >= num_idler)

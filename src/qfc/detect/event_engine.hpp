@@ -17,10 +17,10 @@
 /// starts, then derives eleven per-stage sub-streams from each channel
 /// generator in a fixed order (see channel_rng.hpp) — one per stochastic
 /// stage (emission, backgrounds, jitter, darks) — and every stage
-/// consumes only its own stream. Worker threads (the detect pool, see
-/// set_analysis_threads) claim whole channels and write into per-channel
-/// slots, so the output is bitwise identical at every thread count for a
-/// fixed seed. run() is one window of the
+/// consumes only its own stream. Worker threads (parallel::shared_pool(),
+/// see parallel::set_threads) claim whole channels and write into
+/// per-channel slots, so the output is bitwise identical at every thread
+/// count for a fixed seed. run() is one window of the
 /// engine's single windowed generator (engine_plan.hpp), the one the
 /// streaming engine (streaming.hpp) advances window by window, so a
 /// streamed run is bitwise identical to run() at every window size too. The
@@ -123,27 +123,15 @@ class EventEngine {
   EngineConfig cfg_;
 };
 
-/// Process-wide worker-thread request for the detect pool: the per-channel
-/// generation of EventEngine::run and EventStreamer, the merge-sweep
-/// analysis kernels below and the streaming accumulators (0 = auto: one per
-/// hardware thread; initial value settable via the
-/// QFC_ENGINE_ANALYSIS_THREADS environment variable, read once at first
-/// use). Changing the count never changes results — only wall-clock. Run
-/// from inside a threaded pool task (a sweep worker, say), every detect
-/// round runs inline on that task's thread (the WorkerPool nesting rule).
-void set_analysis_threads(unsigned n);
-
-/// Resolved analysis worker count (the request, or hardware concurrency
-/// when the request is 0).
+/// The resolved size of parallel::shared_pool(), on which the per-channel
+/// generation, the merge-sweep analysis kernels below and the streaming
+/// accumulators run; the same as parallel::threads().
 unsigned analysis_threads();
 
-/// The raw request last passed to set_analysis_threads (or
-/// QFC_ENGINE_ANALYSIS_THREADS at startup): 0 means auto.
-unsigned analysis_thread_request();
-
 /// Δt histograms for the diagonal (signal k, idler k) channel pairs, all
-/// built in one merge-sweep over the two tables, sharded on the detect
-/// pool; counts are bitwise identical at every thread count.
+/// built in one merge-sweep over the two tables, sharded on
+/// parallel::shared_pool(); counts are bitwise identical at every thread
+/// count.
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s);
@@ -160,8 +148,8 @@ struct CarMatrix {
 /// merge-sweep: peak window plus `num_side_windows` accidental windows at
 /// multiples of `side_window_spacing_s` (alternating sides), with the same
 /// counting and error semantics as measure_car. The sweep shards the signal
-/// columns across the detect pool; every cell is bitwise identical at every
-/// thread count.
+/// columns across parallel::shared_pool(); every cell is bitwise identical
+/// at every thread count.
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
                      int num_side_windows = 10);

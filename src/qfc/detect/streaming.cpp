@@ -11,6 +11,7 @@
 #include "qfc/detect/analysis_sweep.hpp"
 #include "qfc/detect/engine_plan.hpp"
 #include "qfc/obs/obs.hpp"
+#include "qfc/parallel/worker_pool.hpp"
 
 namespace qfc::detect {
 
@@ -146,12 +147,12 @@ std::ptrdiff_t stale(const std::vector<double>& t, double from, double reach) {
 }
 
 /// What both rolls hold on the signal side: per channel the events not yet
-/// swept, the detect pool (held from construction) and the integer counts
+/// swept, the shared pool (held from construction) and the integer counts
 /// (row c at c * row_size, sized at the first resolve).
 struct SignalRoll {
   std::size_t ns = kNoChannels;
   std::vector<std::vector<double>> pending;
-  std::shared_ptr<parallel::WorkerPool> pool = analysis_detail::analysis_pool();
+  std::shared_ptr<parallel::WorkerPool> pool = parallel::shared_pool();
   std::vector<std::uint64_t> counts;
 
   bool started() const { return ns != kNoChannels; }

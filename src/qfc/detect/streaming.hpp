@@ -107,8 +107,8 @@ class EventStreamer {
 /// (one CarResult per channel pair, each equal to the car_matrix diagonal
 /// cell) — bitwise, at every window size and every thread count. Every
 /// window must carry as many idler as signal channels. Like the batch
-/// helpers, every accumulator shards its resolves on the detect pool (see
-/// set_analysis_threads), held from construction.
+/// helpers, every accumulator shards its resolves on parallel::shared_pool()
+/// (see parallel::set_threads), held from construction.
 class StreamingCarAccumulator {
  public:
   StreamingCarAccumulator(double window_s, double side_window_spacing_s,

@@ -7,12 +7,12 @@
 /// kron(), hermitian_eig(), svd() and the spectral matrix functions call
 /// the Blocked kernels directly: cache-blocked GEMM with SIMD
 /// micro-kernels, and round-robin ("chess tournament") parallel Jacobi eig /
-/// one-sided Jacobi SVD on the shared qfc::parallel::WorkerPool (see
-/// src/qfc/parallel/README.md). Every rotation round partitions the matrix
-/// into disjoint row/column pairs, so the task-to-thread assignment cannot
-/// change any floating-point operation order: results are bitwise identical
-/// for every thread count (the same determinism contract as
-/// detect::EventEngine).
+/// one-sided Jacobi SVD on the process-wide parallel::shared_pool(), sized
+/// by parallel::set_threads / QFC_THREADS (see src/qfc/parallel/README.md).
+/// Every rotation round partitions the matrix into disjoint row/column
+/// pairs, so the task-to-thread assignment cannot change any floating-point
+/// operation order: results are bitwise identical for every thread count
+/// (the same determinism contract as detect::EventEngine).
 ///
 /// The naive single-threaded Reference kernels stay as the parity and
 /// bench baseline, and reference_gemm / reference_kron are the Blocked
@@ -31,17 +31,6 @@ struct EigOptions {
   int max_sweeps = 64;
   bool want_vectors = true;
 };
-
-/// Worker threads used by the Blocked kernels (0 = one per hardware thread,
-/// the default; initial value also settable via QFC_LINALG_THREADS).
-/// Changing the count never changes results — only wall-clock.
-void set_backend_threads(unsigned n);
-unsigned backend_threads();
-
-/// The raw request last passed to set_backend_threads (or QFC_LINALG_THREADS
-/// at startup): 0 means auto. Lets callers save/restore the setting without
-/// collapsing "auto" to a concrete count.
-unsigned backend_thread_request();
 
 /// SIMD policy of the Blocked kernels (see src/qfc/linalg/README.md).
 /// Vector micro-kernels (AVX2 on x86-64, runtime-dispatched) are used when

@@ -62,18 +62,13 @@ void count_blocked_kron(std::size_t out_elems, bool is_complex) {
 
 using parallel::WorkerPool;
 
-parallel::CachedPool& pool() {
-  static parallel::CachedPool cached("QFC_LINALG_THREADS");
-  return cached;
-}
-
 /// True when a kernel entered from here may dispatch rounds to the pool:
 /// more than one worker resolved. On a 1-core host this skips pool dispatch
 /// (and its task-queue overhead) entirely, which is most of the small-n
 /// crossover fix. Rounds a kernel dispatches from inside a threaded pool
 /// task run inline (the WorkerPool nesting rule), with the same chunk
 /// boundaries, so results are bitwise unaffected.
-bool use_pool() { return pool().threads() > 1; }
+bool use_pool() { return parallel::threads() > 1; }
 
 /// Run fn(task_index) for task_index in [0, count): on the pool when `wp`
 /// is non-null, inline (same index order) otherwise.
@@ -91,7 +86,7 @@ void run_tasks(const std::shared_ptr<WorkerPool>& wp, std::size_t count, Fn&& fn
 template <class Fn>
 void for_row_chunks(bool pooled, std::size_t n, std::size_t chunk, Fn&& fn) {
   if (pooled) {
-    const auto wp = pool().get();
+    const auto wp = parallel::shared_pool();
     parallel::parallel_for_chunks(*wp, n, chunk, fn);
   } else {
     std::size_t c = 0;
@@ -698,12 +693,6 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
 
 // -------------------------------------------------------------- public API
 
-void set_backend_threads(unsigned n) { pool().set_threads(n); }
-
-unsigned backend_threads() { return pool().threads(); }
-
-unsigned backend_thread_request() { return pool().request(); }
-
 void set_simd_enabled(bool on) {
   simd_request_slot().store(on, std::memory_order_relaxed);
 }
@@ -770,7 +759,7 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
   std::vector<ColRot> active_cols;
   active_cols.reserve(m / 2);
   const std::size_t nchunks = (n + kEigRowChunk - 1) / kEigRowChunk;
-  const auto wp = use_pool() ? pool().get() : std::shared_ptr<WorkerPool>();
+  const auto wp = use_pool() ? parallel::shared_pool() : std::shared_ptr<WorkerPool>();
 
   bool converged = false;
   for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
@@ -902,7 +891,7 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
     }
   } else {
     const std::size_t mp = n + (n & 1);
-    const auto wp = use_pool() ? pool().get() : std::shared_ptr<WorkerPool>();
+    const auto wp = use_pool() ? parallel::shared_pool() : std::shared_ptr<WorkerPool>();
     std::atomic<bool> any_rotation{false};
     for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
       ++sweeps_done;

@@ -167,6 +167,11 @@ unsigned resolve_threads(unsigned request) {
   return request > 0 ? request : std::max(1u, std::thread::hardware_concurrency());
 }
 
+CachedPool& shared_cache() {
+  static CachedPool cached("QFC_THREADS");
+  return cached;
+}
+
 }  // namespace
 
 CachedPool::CachedPool(const char* env_var) {
@@ -197,5 +202,13 @@ unsigned CachedPool::request() {
   std::lock_guard<std::mutex> lock(mutex_);
   return request_;
 }
+
+std::shared_ptr<WorkerPool> shared_pool() { return shared_cache().get(); }
+
+void set_threads(unsigned n) { shared_cache().set_threads(n); }
+
+unsigned threads() { return shared_cache().threads(); }
+
+unsigned thread_request() { return shared_cache().request(); }
 
 }  // namespace qfc::parallel

@@ -95,7 +95,7 @@ void parallel_for_chunks(WorkerPool& pool, std::size_t n, std::size_t chunk_size
                                                   std::size_t end)>& fn);
 
 /// A process-wide pool built lazily at first use and rebuilt after a
-/// re-size: the linalg and detect layers each own one. The thread request
+/// re-size; the one instance sits behind shared_pool(). The thread request
 /// starts from the environment variable `env_var` (a positive integer; else
 /// 0 = auto, one thread per hardware thread). Callers hold the pool returned
 /// by get() for the duration of a kernel, so a concurrent set_threads()
@@ -117,5 +117,17 @@ class CachedPool {
   std::shared_ptr<WorkerPool> pool_;
   unsigned request_ = 0;
 };
+
+/// The one process-wide pool: the linalg Blocked kernels and the detect
+/// generation and analysis rounds all run on it. Its request starts from
+/// the QFC_THREADS environment variable (0 = auto). Changing the count
+/// never changes results, only wall-clock.
+std::shared_ptr<WorkerPool> shared_pool();
+/// New thread request for shared_pool() (0 = auto).
+void set_threads(unsigned n);
+/// The resolved thread count of shared_pool().
+unsigned threads();
+/// The raw request, 0 meaning auto (for save/restore).
+unsigned thread_request();
 
 }  // namespace qfc::parallel

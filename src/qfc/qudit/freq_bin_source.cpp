@@ -100,8 +100,13 @@ double FreqBinSource::schmidt_number() const {
 }
 
 double FreqBinSource::entanglement_entropy_bits() const {
-  const quantum::DensityMatrix rho(state());
-  return quantum::von_neumann_entropy_bits(rho.partial_trace_keep({0}));
+  // Σ c_k|kk⟩ is already in Schmidt form: the marginal spectrum is |c_k|².
+  double s = 0;
+  for (const cplx& c : bin_amplitudes()) {
+    const double p = std::norm(c);
+    if (p > 1e-14) s -= p * std::log2(p);
+  }
+  return s;
 }
 
 }  // namespace qfc::qudit

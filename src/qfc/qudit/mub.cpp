@@ -226,9 +226,9 @@ CMat mub_linear_inversion(const std::vector<MubSettingCounts>& data, std::size_t
   return rho;
 }
 
-MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
-                                    std::size_t d, std::size_t num_particles,
-                                    const tomo::MleOptions& opts) {
+tomo::MleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
+                                       std::size_t d, std::size_t num_particles,
+                                       const tomo::MleOptions& opts) {
   checked_particles(data, d, num_particles);
   const auto mubs = mub_bases(d);
 
@@ -244,11 +244,9 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
       mub_linear_inversion(data, d, num_particles));
   tomo::RrrResult core = tomo::rrr_reconstruct(terms, seed, opts);
 
-  MubMleResult res{quantum::DensityMatrix(std::move(core.rho),
-                                          quantum::Dims(num_particles, d), 1e-6),
-                   core.iterations, core.converged, core.log_likelihood,
-                   core.final_update_norm};
-  return res;
+  return {quantum::DensityMatrix(std::move(core.rho), quantum::Dims(num_particles, d),
+                                 1e-6),
+          core.iterations, core.converged, core.log_likelihood, core.final_update_norm};
 }
 
 }  // namespace qfc::qudit

@@ -49,18 +49,10 @@ std::vector<MubSettingCounts> simulate_mub_counts(const quantum::DensityMatrix& 
 CMat mub_linear_inversion(const std::vector<MubSettingCounts>& data, std::size_t d,
                           std::size_t num_particles);
 
-struct MubMleResult {
-  quantum::DensityMatrix rho;
-  int iterations = 0;
-  bool converged = false;
-  double log_likelihood = 0;
-  double final_update_norm = 0;  ///< Frobenius norm of the last ρ update
-};
-
 /// Maximum-likelihood reconstruction: projected linear inversion seeds the
 /// shared tomo::rrr_reconstruct iteration.
-MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
-                                    std::size_t d, std::size_t num_particles,
-                                    const tomo::MleOptions& opts = {});
+tomo::MleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
+                                       std::size_t d, std::size_t num_particles,
+                                       const tomo::MleOptions& opts = {});
 
 }  // namespace qfc::qudit

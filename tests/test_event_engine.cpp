@@ -12,19 +12,19 @@
 
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/hbt.hpp"
-#include "qfc/core/qkd.hpp"
+#include "qfc/core/qkd_network.hpp"
 #include "qfc/detect/channel_rng.hpp"
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/timebin/arrival_histogram.hpp"
 
-#include "analysis_threads_guard.hpp"
+#include "threads_guard.hpp"
 
 namespace {
 
 using namespace qfc;
-using test::AnalysisThreadsGuard;
-using test::at_analysis_threads;
+using test::ThreadsGuard;
+using test::at_threads;
 using detect::ChannelPairSpec;
 using detect::EngineConfig;
 using detect::EngineResult;
@@ -111,9 +111,9 @@ TEST(EventEngine, BitwiseInvariantAcrossThreadCounts) {
   ec.duration_s = 1.0;
   ec.seed = 7;
   const auto run = [&] { return EventEngine(ec).run(specs); };
-  const EngineResult r1 = at_analysis_threads(1, run);
-  const EngineResult r3 = at_analysis_threads(3, run);
-  const EngineResult r8 = at_analysis_threads(8, run);
+  const EngineResult r1 = at_threads(1, run);
+  const EngineResult r3 = at_threads(3, run);
+  const EngineResult r8 = at_threads(8, run);
   EXPECT_EQ(r1.signal, r3.signal);
   EXPECT_EQ(r1.idler, r3.idler);
   EXPECT_EQ(r1.signal, r8.signal);
@@ -272,9 +272,9 @@ TEST(EmissionModes, PulsedBitwiseDeterministicAcrossThreadCounts) {
   ec.duration_s = 0.05;
   ec.seed = 17;
   const auto run = [&] { return EventEngine(ec).run(specs); };
-  const EngineResult r1 = at_analysis_threads(1, run);
-  const EngineResult r2 = at_analysis_threads(2, run);
-  const EngineResult r4 = at_analysis_threads(4, run);
+  const EngineResult r1 = at_threads(1, run);
+  const EngineResult r2 = at_threads(2, run);
+  const EngineResult r4 = at_threads(4, run);
   EXPECT_EQ(r1.signal, r2.signal);
   EXPECT_EQ(r1.idler, r2.idler);
   EXPECT_EQ(r1.signal, r4.signal);
@@ -376,9 +376,9 @@ TEST(EmissionModes, PiecewiseBitwiseDeterministicAcrossThreadCounts) {
   ec.duration_s = 1.0;
   ec.seed = 41;
   const auto run = [&] { return EventEngine(ec).run(specs); };
-  const EngineResult r1 = at_analysis_threads(1, run);
-  const EngineResult r2 = at_analysis_threads(2, run);
-  const EngineResult r4 = at_analysis_threads(4, run);
+  const EngineResult r1 = at_threads(1, run);
+  const EngineResult r2 = at_threads(2, run);
+  const EngineResult r4 = at_threads(4, run);
   EXPECT_EQ(r1.signal, r2.signal);
   EXPECT_EQ(r1.idler, r2.idler);
   EXPECT_EQ(r1.signal, r4.signal);
@@ -538,9 +538,9 @@ TEST(ShardedAnalysis, CarMatrixBitwiseInvariantAcrossThreadCounts) {
   const auto sweep = [&] {
     return detect::car_matrix(res.signal, res.idler, window, spacing, 10);
   };
-  const auto one = at_analysis_threads(1, sweep);
+  const auto one = at_threads(1, sweep);
   for (const unsigned threads : {2u, 4u})
-    expect_car_matrices_equal(one, at_analysis_threads(threads, sweep),
+    expect_car_matrices_equal(one, at_threads(threads, sweep),
                               threads == 2 ? "2 threads" : "4 threads");
 }
 
@@ -549,9 +549,9 @@ TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
   const auto sweep = [&] {
     return detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9);
   };
-  const auto one = at_analysis_threads(1, sweep);
+  const auto one = at_threads(1, sweep);
   for (const unsigned threads : {2u, 4u}) {
-    const auto many = at_analysis_threads(threads, sweep);
+    const auto many = at_threads(threads, sweep);
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t c = 0; c < one.size(); ++c)
       EXPECT_EQ(one[c].counts, many[c].counts) << "channel " << c << ", " << threads
@@ -560,9 +560,9 @@ TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
 }
 
 TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
-  AnalysisThreadsGuard guard;
-  detect::set_analysis_threads(3);
-  EXPECT_EQ(detect::analysis_thread_request(), 3u);
+  ThreadsGuard guard;
+  parallel::set_threads(3);
+  EXPECT_EQ(parallel::thread_request(), 3u);
   EXPECT_EQ(detect::analysis_threads(), 3u);
 
   const EngineResult res = sharded_analysis_table();
@@ -572,12 +572,12 @@ TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
   // The process-wide request sizes every call; a 3-thread sweep must
   // produce the 1-thread cells.
   const auto at_three = sweep();
-  expect_car_matrices_equal(at_analysis_threads(1, sweep), at_three,
+  expect_car_matrices_equal(at_threads(1, sweep), at_three,
                             "process-wide setting");
-  EXPECT_EQ(detect::analysis_thread_request(), 3u);  // restored by the helper
+  EXPECT_EQ(parallel::thread_request(), 3u);  // restored by the helper
 
-  detect::set_analysis_threads(0);
-  EXPECT_EQ(detect::analysis_thread_request(), 0u);
+  parallel::set_threads(0);
+  EXPECT_EQ(parallel::thread_request(), 0u);
   EXPECT_GE(detect::analysis_threads(), 1u);  // auto resolves to hardware
 }
 
@@ -603,7 +603,7 @@ TEST(BatchedAnalysis, CarDiagonalEqualsCarMatrixDiagonal) {
   ASSERT_EQ(res.idler.channel_size(4), 0u);
 
   const double window = 8e-9, spacing = 100e-9;
-  const auto matrix = at_analysis_threads(
+  const auto matrix = at_threads(
       1, [&] { return detect::car_matrix(res.signal, res.idler, window, spacing, 10); });
   double off_diagonal = 0;
   for (std::size_t s = 0; s < 4; ++s)
@@ -612,8 +612,8 @@ TEST(BatchedAnalysis, CarDiagonalEqualsCarMatrixDiagonal) {
   EXPECT_GT(off_diagonal, 0.0);
 
   for (const unsigned threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(std::to_string(threads) + " detect threads");
-    const auto diag = at_analysis_threads(threads, [&] {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto diag = at_threads(threads, [&] {
       return detect::car_diagonal(res.signal, res.idler, window, spacing, 10);
     });
     ASSERT_EQ(diag.size(), specs.size());
@@ -676,18 +676,26 @@ TEST(CoreStreamChecks, PulsedCarCheckResolvesTimebinPeaks) {
   }
 }
 
-TEST(CoreStreamChecks, QkdStreamCheckAccidentalFloor) {
+TEST(CoreStreamChecks, QkdNetworkAccidentalFloor) {
+  // One back-to-back user per comb channel pair: every link's CAR clears
+  // the accidental floor the analytic budget assumes.
   const auto comb = core::QuantumFrequencyComb::for_configuration(
       core::PumpConfiguration::DoublePulse);
   auto exp = comb.timebin_default();
-  const core::MultiplexedQkdLink link(exp);
-  const auto checks = link.stream_check(/*distance_km=*/0.0, /*duration_s=*/0.2);
-  ASSERT_EQ(checks.size(), 5u);
-  for (const auto& c : checks) {
-    EXPECT_GT(c.car.car, 2.0) << "k=" << c.k;
-    EXPECT_GT(c.measured_coincidence_rate_hz, 0.0) << "k=" << c.k;
+  core::QkdNetworkConfig cfg;
+  for (int k = 1; k <= exp.config().num_channel_pairs; ++k) {
+    core::QkdUserSpec user;
+    user.channel_pair = k;
+    cfg.users.push_back(user);
   }
-  EXPECT_THROW(link.stream_check(-1.0, 1.0), std::invalid_argument);
+  const auto report = core::QkdNetwork(exp, cfg).run(/*duration_s=*/0.2);
+  ASSERT_EQ(report.users.size(), 5u);
+  for (const auto& u : report.users) {
+    EXPECT_GT(u.car.car, 2.0) << "k=" << u.channel_pair;
+    EXPECT_GT(u.car.coincidences, u.car.accidentals) << "k=" << u.channel_pair;
+  }
+  cfg.users[0].link.distance_km = -1.0;
+  EXPECT_THROW(core::QkdNetwork(exp, cfg), std::invalid_argument);
 }
 
 TEST(CoreStreamChecks, StabilityCountedTraceAllan) {

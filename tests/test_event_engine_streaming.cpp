@@ -11,17 +11,16 @@
 #include <gtest/gtest.h>
 
 #include "qfc/core/comb_source.hpp"
-#include "qfc/core/qkd.hpp"
 #include "qfc/core/stability.hpp"
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/streaming.hpp"
 
-#include "analysis_threads_guard.hpp"
+#include "threads_guard.hpp"
 
 namespace {
 
 using namespace qfc;
-using test::at_analysis_threads;
+using test::at_threads;
 using detect::ChannelPairSpec;
 using detect::EngineConfig;
 using detect::EngineResult;
@@ -160,9 +159,9 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
   const auto specs = specs_for(GetParam());
   const EngineConfig ec = engine_config();
   // The batch reference runs single-threaded: every streamed run below is
-  // compared against it at 1, 2 and 4 detect threads.
-  test::AnalysisThreadsGuard guard;
-  detect::set_analysis_threads(1);
+  // compared against it at 1, 2 and 4 threads.
+  test::ThreadsGuard guard;
+  parallel::set_threads(1);
   const EngineResult batch = EventEngine(ec).run(specs);
   const auto batch_car =
       detect::car_matrix(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10);
@@ -177,8 +176,8 @@ TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
     StreamConfig sc;
     sc.window_s = window_s;
     for (unsigned threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("detect threads = " + std::to_string(threads));
-      detect::set_analysis_threads(threads);
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      parallel::set_threads(threads);
       EventStreamer streamer(ec, sc, specs);
       detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10);
       detect::StreamingCarMatrixAccumulator matrix(kCarWindow, kCarSpacing, 10);
@@ -234,8 +233,8 @@ TEST(EventStreamer, BitwiseInvariantAcrossGenerationThreadCounts) {
     EventStreamer s(engine_config(), sc, specs);
     return drain(s);
   };
-  const EngineResult r1 = at_analysis_threads(1, stream);
-  const EngineResult r3 = at_analysis_threads(3, stream);
+  const EngineResult r1 = at_threads(1, stream);
+  const EngineResult r3 = at_threads(3, stream);
   EXPECT_EQ(r1.signal, r3.signal);
   EXPECT_EQ(r1.idler, r3.idler);
 }
@@ -367,34 +366,6 @@ TEST(StreamingAllanAccumulator, MatchesDirectIntervalCounting) {
   }
   EXPECT_GT(res.mean_counts, 0.0);
   EXPECT_FALSE(res.allan.empty());
-}
-
-TEST(StreamingFacades, QkdStreamCheckWindowSizeInvariant) {
-  const auto comb = core::QuantumFrequencyComb::for_configuration(
-      core::PumpConfiguration::DoublePulse);
-  auto exp = comb.timebin_default();
-  const core::MultiplexedQkdLink link(exp);
-  const double duration = 0.2;
-  core::StreamOptions batch_opts;
-  batch_opts.window_s = 0;  // one window spanning the run
-  const auto batch = link.stream_check(/*distance_km=*/0.0, duration, batch_opts);
-  core::StreamOptions windowed_opts;
-  windowed_opts.window_s = duration / 6.0;
-  const auto streamed =
-      link.stream_check(/*distance_km=*/0.0, duration, windowed_opts);
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(streamed[i].k, batch[i].k);
-    EXPECT_EQ(streamed[i].car.coincidences, batch[i].car.coincidences);
-    EXPECT_EQ(streamed[i].car.accidentals, batch[i].car.accidentals);
-    EXPECT_EQ(streamed[i].car.car, batch[i].car.car);
-    EXPECT_EQ(streamed[i].car.car_err, batch[i].car.car_err);
-    EXPECT_EQ(streamed[i].measured_coincidence_rate_hz,
-              batch[i].measured_coincidence_rate_hz);
-    EXPECT_EQ(streamed[i].measured_accidental_rate_hz,
-              batch[i].measured_accidental_rate_hz);
-  }
-  EXPECT_THROW(link.stream_check(-1.0, 1.0), std::invalid_argument);
 }
 
 TEST(StreamingAccumulators, RejectMisuse) {

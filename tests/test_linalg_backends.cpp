@@ -16,6 +16,8 @@
 #include "qfc/linalg/matrix.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 
+#include "threads_guard.hpp"
+
 namespace {
 
 using qfc::linalg::CMat;
@@ -48,13 +50,6 @@ RMat random_real(std::size_t r, std::size_t c, unsigned seed) {
 }
 
 double max_abs_diff(const CMat& a, const CMat& b) { return (a - b).max_abs(); }
-
-/// Restores the thread request on scope exit so tests cannot leak it into
-/// each other (or clobber an operator's QFC_LINALG_THREADS setting).
-struct BackendGuard {
-  unsigned threads = qfc::linalg::backend_thread_request();
-  ~BackendGuard() { qfc::linalg::set_backend_threads(threads); }
-};
 
 // ---------------------------------------------------------------- GEMM
 
@@ -155,20 +150,20 @@ TEST(BackendParity, ScaledCongruence) {
 // ----------------------------------------------- thread-count invariance
 
 TEST(BackendDeterminism, BitwiseIdenticalAcrossThreadCounts) {
-  BackendGuard guard;
+  qfc::test::ThreadsGuard guard;
   const CMat h = random_hermitian(80, 21);
   const CMat r = random_matrix(96, 56, 22);
   const CMat ga = random_matrix(90, 70, 23);
   const CMat gb = random_matrix(70, 85, 24);
 
-  qfc::linalg::set_backend_threads(1);
+  qfc::parallel::set_threads(1);
   const auto eig1 = qfc::linalg::hermitian_eig(h);
   const auto svd1 = qfc::linalg::svd(r, 96);
   const CMat gemm1 = ga * gb;
 
   for (const unsigned threads : {2u, 4u}) {
-    qfc::linalg::set_backend_threads(threads);
-    EXPECT_EQ(qfc::linalg::backend_threads(), threads);
+    qfc::parallel::set_threads(threads);
+    EXPECT_EQ(qfc::parallel::threads(), threads);
     const auto eig = qfc::linalg::hermitian_eig(h);
     const auto svd = qfc::linalg::svd(r, 96);
     const CMat gemm = ga * gb;
@@ -190,17 +185,17 @@ TEST(BackendDeterminism, BlockedKernelsUnchangedAfterPoolRelocation) {
   // kernels must still match the reference to 1e-10 and stay bitwise invariant
   // from 1 worker to many, including a worker count that does not divide
   // the row-chunk count.
-  BackendGuard guard;
+  qfc::test::ThreadsGuard guard;
   const CMat h = random_hermitian(56, 71);
   const CMat a = random_matrix(83, 61, 72);
   const CMat b = random_matrix(61, 77, 73);
 
-  qfc::linalg::set_backend_threads(1);
+  qfc::parallel::set_threads(1);
   const auto eig1 = qfc::linalg::hermitian_eig(h);
   const auto svd1 = qfc::linalg::svd(a, 96);
   const CMat gemm1 = a * b;
 
-  qfc::linalg::set_backend_threads(5);
+  qfc::parallel::set_threads(5);
   const auto eig5 = qfc::linalg::hermitian_eig(h);
   const auto svd5 = qfc::linalg::svd(a, 96);
   const CMat gemm5 = a * b;

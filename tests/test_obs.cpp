@@ -20,7 +20,7 @@
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
 
-#include "analysis_threads_guard.hpp"
+#include "threads_guard.hpp"
 
 namespace {
 
@@ -359,6 +359,34 @@ TEST(Obs, WorkerPoolRecordsBusyNsAndRounds) {
   EXPECT_TRUE(saw_run);
 }
 
+TEST(Obs, OneThreadRequestSizesDetectAndLinalg) {
+  // The linalg kernels and detect share parallel::shared_pool(): one
+  // set_threads(3) is the detect worker count and the size of the pool a
+  // threaded linalg round runs on. Every worker joins each threaded round,
+  // so one 64 x 64 product (four 16-row chunks) records exactly two
+  // pool.work spans: workers 1 and 2 of a 3-thread pool.
+  ObsStateGuard guard;
+  test::ThreadsGuard threads_guard;
+  parallel::set_threads(3);
+  EXPECT_EQ(detect::analysis_threads(), 3u);
+
+  linalg::RMat a(64, 64), b(64, 64);
+  for (std::size_t i = 0; i < 64; ++i)
+    for (std::size_t j = 0; j < 64; ++j) {
+      a(i, j) = static_cast<double>(i + 2 * j);
+      b(i, j) = static_cast<double>(i) - static_cast<double>(j);
+    }
+  obs::enable_tracing(true);
+  ASSERT_EQ((a * b).rows(), 64u);
+  std::size_t rounds = 0, participations = 0;
+  for (const auto& ev : parse_events(obs::trace_json())) {
+    rounds += ev.name == "pool.run";
+    participations += ev.name == "pool.work";
+  }
+  EXPECT_EQ(rounds, 1u);
+  EXPECT_EQ(participations, 2u);
+}
+
 TEST(Obs, LinalgKernelCountersAndFlops) {
   ObsStateGuard guard;
   obs::enable_metrics(true);
@@ -421,9 +449,9 @@ TEST(Obs, EnablingObsNeverChangesEngineResults) {
   detect::EngineConfig ec;
   ec.duration_s = 0.05;
   ec.seed = 1234;
-  // A genuinely threaded detect pool, so obs-on rounds really fan out.
-  test::AnalysisThreadsGuard threads_guard;
-  detect::set_analysis_threads(2);
+  // A genuinely threaded shared pool, so obs-on rounds really fan out.
+  test::ThreadsGuard threads_guard;
+  parallel::set_threads(2);
 
   const auto run_all = [&] {
     const detect::EngineResult res = detect::EventEngine(ec).run(specs);
@@ -483,8 +511,8 @@ TEST(Obs, BatchRunIsOneWindowWithoutStreamingSpans) {
   detect::EngineConfig ec;
   ec.duration_s = 0.08;
   ec.seed = 77;
-  test::AnalysisThreadsGuard threads_guard;
-  detect::set_analysis_threads(2);
+  test::ThreadsGuard threads_guard;
+  parallel::set_threads(2);
 
   const char* const names[] = {"engine.events_generated", "engine.clicks_kept",
                                "detect.darks_injected",   "engine.emission.cw",

@@ -1,7 +1,7 @@
 // Tests for the many-user QKD network façade: zero-leakage cross-talk
 // parity with the single link, spec-level cross-talk injection, per-user
 // CAR parity with the batch car_matrix diagonal, bitwise determinism of a
-// 256-user run across analysis thread counts, degenerate networks, and
+// 256-user run across thread counts, degenerate networks, and
 // config validation.
 
 #include <algorithm>
@@ -18,7 +18,7 @@
 #include "qfc/core/qkd_network.hpp"
 #include "qfc/detect/event_engine.hpp"
 
-#include "analysis_threads_guard.hpp"
+#include "threads_guard.hpp"
 
 namespace {
 
@@ -86,30 +86,6 @@ TEST_F(QkdNetworkFixture, ZeroLeakageSpecsMatchSingleLinkBitwise) {
     EXPECT_EQ(specs[u].background_rate_signal_hz, plain.background_rate_signal_hz);
     EXPECT_EQ(specs[u].background_rate_idler_hz, plain.background_rate_idler_hz);
   }
-}
-
-TEST_F(QkdNetworkFixture, SingleUserNetworkMatchesLinkStreamCheckBitwise) {
-  // User 0 on pair 1 is engine channel 0 in both runs, with an identical
-  // spec and seed; a CAR cell depends only on its two columns, so the
-  // network's one-user report must reproduce the link's k=1 check exactly.
-  const double distance = 12.0, duration = 0.05;
-  core::QkdUserSpec user;
-  user.channel_pair = 1;
-  user.link.distance_km = distance;
-  core::QkdNetworkConfig cfg;
-  cfg.users = {user};
-  const core::QkdNetwork net(exp_, cfg);
-  const auto report = net.run(duration);
-  ASSERT_EQ(report.users.size(), 1u);
-
-  const core::MultiplexedQkdLink link(exp_);
-  const auto checks = link.stream_check(distance, duration);
-  ASSERT_GE(checks.size(), 1u);
-  EXPECT_EQ(checks[0].k, 1);
-  EXPECT_EQ(report.users[0].car.coincidences, checks[0].car.coincidences);
-  EXPECT_EQ(report.users[0].car.accidentals, checks[0].car.accidentals);
-  EXPECT_EQ(report.users[0].car.car, checks[0].car.car);
-  EXPECT_EQ(report.users[0].car.car_err, checks[0].car.car_err);
 }
 
 TEST_F(QkdNetworkFixture, CrosstalkRaisesBackgroundOfAdjacentBinsOnly) {
@@ -197,7 +173,7 @@ TEST_F(QkdNetworkFixture, TwoHundredFiftySixUsersDeterministicAcrossThreads) {
   core::QkdNetworkReport reports[3];
   const unsigned threads[3] = {1, 2, 4};
   for (int i = 0; i < 3; ++i) {
-    reports[i] = test::at_analysis_threads(threads[i], [&] {
+    reports[i] = test::at_threads(threads[i], [&] {
       return core::QkdNetwork(exp_, cfg).run(/*duration_s=*/0.01);
     });
     ASSERT_EQ(reports[i].users.size(), 256u);

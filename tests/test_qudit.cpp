@@ -151,6 +151,25 @@ TEST(FreqBinSource, FlatteningYieldsMaximallyEntangled) {
   EXPECT_NEAR(schmidt_number(flat), 3.0, 1e-10);
 }
 
+TEST(FreqBinSource, EntanglementEntropyIsSchmidtWeightEntropy) {
+  // Σ c_k|kk⟩ has Schmidt weights |c_k|², whatever the phases: the entropy
+  // is −Σ p log₂ p of the normalized brightness, and equals the entropy of
+  // the reduced density matrix.
+  const qfc::photonics::CombGrid grid(193.1e12, 200e9, 5);
+  FreqBinConfig cfg;
+  cfg.dimension = 4;
+  cfg.bin_phase_rad = {0.0, 0.9, -2.3, 1.7};
+  const FreqBinSource src(grid, {3.0, 1.5, 0.4, 0.1, 7.0}, cfg);
+
+  double expected = 0;
+  for (double b : {3.0, 1.5, 0.4, 0.1}) expected -= b / 5.0 * std::log2(b / 5.0);
+  EXPECT_NEAR(src.entanglement_entropy_bits(), expected, 1e-14);
+  EXPECT_LT(expected, 2.0);
+  const DensityMatrix rho(src.state());
+  EXPECT_NEAR(src.entanglement_entropy_bits(),
+              von_neumann_entropy_bits(rho.partial_trace_keep({0})), 1e-12);
+}
+
 TEST(FreqBinSource, FromCwSourceUsesPairRates) {
   using namespace qfc;
   const auto ring = photonics::entanglement_device();

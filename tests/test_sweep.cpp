@@ -20,7 +20,7 @@
 #include "qfc/sweep/scenario.hpp"
 #include "qfc/sweep/sweep.hpp"
 
-#include "analysis_threads_guard.hpp"
+#include "threads_guard.hpp"
 
 namespace {
 
@@ -453,10 +453,10 @@ Json run_adapter(const char* name, const std::string& params_text) {
 }
 
 /// The direct façade call the adapter is compared against, on a threaded
-/// detect pool.
+/// shared pool.
 template <class Fn>
 auto threaded(Fn&& fn) {
-  return test::at_analysis_threads(4, std::forward<Fn>(fn));
+  return test::at_threads(4, std::forward<Fn>(fn));
 }
 
 TEST(ScenarioParity, HeraldedChannelTable) {
